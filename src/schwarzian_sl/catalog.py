@@ -253,21 +253,7 @@ def get_entry(name: str) -> CatalogEntry:
         ) from None
 
 
-def _parse_end(value: Any) -> float:
-    if isinstance(value, str):
-        if value in ("inf", "+inf"):
-            return _INF
-        if value == "-inf":
-            return -_INF
-        return float(value)
-    return float(value)
-
-
 def _parse_f_bc(value: Any) -> complex:
-    if isinstance(value, str):
-        if value in ("inf", "+inf"):
-            return complex(_INF, 0.0)
-        return complex(value)
     if isinstance(value, (list, tuple)):
         return complex(value[0], value[1])
     return complex(value)
@@ -295,8 +281,8 @@ def problem_from_json(doc: dict[str, Any]) -> Any:
         problem = replace(
             problem,
             domain=Domain(
-                lower=_parse_end(d.get("lower", problem.domain.lower)),
-                upper=_parse_end(d.get("upper", problem.domain.upper)),
+                lower=float(d.get("lower", problem.domain.lower)),
+                upper=float(d.get("upper", problem.domain.upper)),
                 start=float(d.get("start", problem.domain.start)),
                 lower_cut=float(cuts[0]),
                 upper_cut=float(cuts[1]),

@@ -10,6 +10,7 @@ SCHWARZIAN_SL_THREADS environment variable, then the CPU count).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -23,7 +24,12 @@ from .catalog import CATALOG, StabilityConfig, get_entry
 from .core import SchwarzianSLError, validate
 from .io import complex_columns, write_csv, write_json
 from .minimalist import solve_finite_interval
-from .mhd import JetQuantizationFunction, eigenfunctions_y, jet_trajectories
+from .mhd import (
+    DEFAULT_CUTS,
+    JetQuantizationFunction,
+    eigenfunctions_y,
+    jet_trajectories,
+)
 from .rootfind import (
     NoConvergence,
     dispersion_scan,
@@ -33,13 +39,13 @@ from .rootfind import (
 )
 from .schwarzian import (
     Approach,
-    eigenfunction_bidirectional,
+    eigenfunction,
     g_difference_value,
     phi_winding_value,
     solve_asymptotic,
     solve_constant_from_bc,
 )
-from .integrate import Tolerances
+from .integrate import Tolerances, merge_legs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,7 +186,10 @@ def _solve_sl(args: argparse.Namespace, problem, method: str) -> int:
 
     scan = scan_real(winding, (lo, hi), args.samples)
     eigenvalues: list[complex] = [complex(c.eigenvalue) for c in scan.crossings]
-    ns = [c.n for c in scan.crossings]
+    # the Phi winding of the state with n nodes is n + 1, and the asymptotic
+    # targets count nodes; the finite-interval targets count from 1, as the
+    # minimalist phase does
+    ns = [c.n if method == "minimalist" else c.n - 1 for c in scan.crossings]
     if method == "schwarzian-g":
         # bracket on the phase winding, then polish on the g condition
         polished = []
@@ -230,17 +239,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _stability_qf(
     config: StabilityConfig, method: str, args: argparse.Namespace
 ) -> JetQuantizationFunction:
-    cuts = (
-        _parse_floats(args.cuts, 2, "--cuts")
-        if args.cuts
-        else (0.01, 10.0)
-    )
+    cuts = getattr(args, "cuts", None)  # only the web command has --cuts
     return JetQuantizationFunction(
         model=config.model,
         m=config.m,
         k=config.k,
         approach=_approach(method),
-        cuts=cuts,
+        cuts=_parse_floats(cuts, 2, "--cuts") if cuts else DEFAULT_CUTS,
         rel_tol=args.rel,
         abs_tol=args.abs,
     )
@@ -325,9 +330,8 @@ def cmd_eigenfunction(args: argparse.Namespace) -> int:
     constant = solve_constant_from_bc(
         low.y_end, complex(float("inf"), 0.0), approach
     )
-    samples = eigenfunction_bidirectional(low, high, constant, approach, built)
-    xs = np.concatenate([low.xs[::-1], high.xs[1:]])
-    states = np.concatenate([low.ys[::-1], high.ys[1:]])
+    xs, states = merge_legs(low, high)
+    samples = eigenfunction(xs, states, constant, approach)
     meta = _meta(args, eigenvalue=eigenvalue, label=built.label)
     columns = [("x", xs.tolist())]
     names = ("F_p", "Lam", "g") if approach is Approach.G else ("F1", "F2", "Phi")
@@ -354,12 +358,10 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
     region = _parse_floats(args.region, 4, "--region")
     workers = _resolve_threads(args.threads)
     base = entry.build(**params)
+    qf = _stability_qf(base, method, args)
 
     def family(k: float) -> JetQuantizationFunction:
-        return JetQuantizationFunction(
-            model=base.model, m=base.m, k=float(k),
-            approach=_approach(method), rel_tol=args.rel, abs_tol=args.abs,
-        )
+        return dataclasses.replace(qf, k=float(k))
 
     nx, ny = _parse_grid(args.grid)
     points = dispersion_scan(family, k_grid, region, nx, ny, workers=workers)
@@ -417,9 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="200x200", help="web resolution NXxNY")
     p.add_argument("--threads", type=int, help="worker processes")
     p.add_argument("--cuts", help="integration window lo,hi")
-    p.add_argument("--refine", action="store_true", default=True,
-                   help="polish detected roots (default)")
-    p.add_argument("--no-refine", dest="refine", action="store_false")
+    p.add_argument("--no-refine", dest="refine", action="store_false",
+                   help="skip polishing the detected roots")
     p.set_defaults(func=cmd_web)
 
     p = sub.add_parser("eigenfunction", help="sample an eigenfunction")

@@ -23,6 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import SchwarzianSLError
+
 ComplexVector = tuple[complex, ...]
 RhsFunction = Callable[[float, ComplexVector, complex], Sequence[complex]]
 EventPredicate = Callable[[float, ComplexVector], bool]
@@ -32,7 +34,7 @@ class DimensionMismatch(ValueError):
     """State or rhs output length disagrees with the declared dimension."""
 
 
-class NonFiniteRhs(ValueError):
+class NonFiniteRhs(SchwarzianSLError):
     """The right-hand side is NaN/inf already at the launch point."""
 
 
@@ -343,6 +345,17 @@ def integrate_bidirectional(
     low = integrate(sys, start, lo, y0, lam, tol, event, store_path)
     high = integrate(sys, start, hi, y0, lam, tol, event, store_path)
     return low, high
+
+
+def merge_legs(low: Trajectory, high: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) of two legs launched from one point, in ascending x.
+
+    ``low`` runs toward the lower cut and is reversed; the launch sample
+    that opens ``high`` is dropped, so it appears once.
+    """
+    xs = np.concatenate([low.xs[::-1], high.xs[1:]])
+    ys = np.concatenate([low.ys[::-1], high.ys[1:]])
+    return xs, ys
 
 
 def integrate_checkpoints(

@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -66,10 +67,11 @@ def write_csv(
 
 
 def _jsonable(value: Any) -> Any:
+    """Plain JSON values; non-finite floats (failed samples) become None."""
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.floating,)):
-        return float(value)
+        return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, np.ndarray):
@@ -85,5 +87,6 @@ def write_json(path: str | Path, meta: dict[str, Any], payload: Any) -> Path:
     path = Path(path)
     doc = {"meta": {"tool": f"schwarzian-sl {_version}", **_jsonable(meta)},
            "data": _jsonable(payload)}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
     return path

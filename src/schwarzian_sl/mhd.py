@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import SchwarzianSLError
-from .integrate import OdeSystem, Tolerances, Trajectory, integrate
+from .integrate import OdeSystem, Tolerances, Trajectory, integrate, merge_legs
 from .schwarzian import Approach, branch_tracked_sqrt
 
 _INTERFACE_NUDGE = 1e-9  # relative launch offset off an interface
@@ -125,15 +125,10 @@ class MhdEquilibrium:
         constant plus a 1/r part.
         """
 
-        def edge(v):
-            if isinstance(v, str):
-                return float(v)
-            return float(v)
-
         segments = tuple(
             ProfileSegment(
-                lo=edge(s["lo"]),
-                hi=edge(s.get("hi", math.inf)),
+                lo=float(s["lo"]),
+                hi=float(s.get("hi", math.inf)),
                 rho0=float(s["rho0"]),
                 P0=float(s.get("P0", 0.0)),
                 V0=float(s.get("V0", 0.0)),
@@ -163,36 +158,6 @@ class ModeParams(NamedTuple):
     m: int
     k: float
     omega: complex
-
-
-@dataclass(frozen=True)
-class CoefficientRatios:
-    """The four ratios in their natural axis-regular scalings r*F_ij/D."""
-
-    r: float
-    rf11: complex
-    rf12: complex
-    rf21: complex
-
-    @property
-    def rf22(self) -> complex:
-        return -self.rf11
-
-    @property
-    def f11_over_D(self) -> complex:
-        return self.rf11 / self.r
-
-    @property
-    def f12_over_D(self) -> complex:
-        return self.rf12 / self.r
-
-    @property
-    def f21_over_D(self) -> complex:
-        return self.rf21 / self.r
-
-    @property
-    def f22_over_D(self) -> complex:
-        return -self.rf11 / self.r
 
 
 def _ratios(
@@ -232,20 +197,6 @@ def _ratios(
     return rf11, rf12, rf21
 
 
-def coefficient_ratios(
-    eq: MhdEquilibrium, mode: ModeParams, r: float
-) -> CoefficientRatios:
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    rf11, rf12, rf21 = _ratios(eq, mode.m, mode.k, mode.omega, r)
-    return CoefficientRatios(r=r, rf11=rf11, rf12=rf12, rf21=rf21)
-
-
-def y_riccati_rhs(ratios: CoefficientRatios, r: float, Y: complex) -> complex:
-    """dY/dr = (F21/D) Y^2 + ((F22 - F11)/D) Y - F12/D."""
-    return (ratios.rf21 * Y * Y - 2.0 * ratios.rf11 * Y - ratios.rf12) / r
-
-
 def y_riccati_system(eq: MhdEquilibrium, m: int, k: float) -> OdeSystem:
     def rhs(r: float, y: tuple[complex, ...], omega: complex) -> tuple[complex]:
         rf11, rf12, rf21 = _ratios(eq, m, k, omega, r)
@@ -256,14 +207,13 @@ def y_riccati_system(eq: MhdEquilibrium, m: int, k: float) -> OdeSystem:
 
 
 def y1_phi_system_rhs(
-    ratios: CoefficientRatios, r: float, state: Sequence[complex]
+    r: float, state: Sequence[complex], rf11: complex, rf12: complex, rf21: complex
 ) -> tuple[complex, complex, complex]:
-    """Right side of the y1 Schwarzian Phi system; state = (Y4, Y3, Phi1).
+    """Right side of the y1 Schwarzian Phi system; state = (Y4, Y3, Phi1, ...).
 
     Reconstruction: 1/Y = Y4 - Y3 cot((Phi1 + C)/2).
     """
-    y4, y3, _ = state
-    rf11, rf12, rf21 = ratios.rf11, ratios.rf12, ratios.rf21
+    y4, y3 = state[0], state[1]
     diff = -2.0 * rf11  # rf22 - rf11
     return (
         (-rf21 - diff * y4 + (y4 * y4 - y3 * y3) * rf12) / r,
@@ -273,15 +223,14 @@ def y1_phi_system_rhs(
 
 
 def y1_g_system_rhs(
-    ratios: CoefficientRatios, r: float, state: Sequence[complex]
+    r: float, state: Sequence[complex], rf11: complex, rf12: complex, rf21: complex
 ) -> tuple[complex, complex, complex]:
-    """Right side of the y1 Schwarzian g system; state = (Y4, Y3, g1).
+    """Right side of the y1 Schwarzian g system; state = (Y4, Y3, g1, ...).
 
     Reconstruction: 1/Y = Y4 - e^{-2 Y3} / (g1 + C2/C1).
     """
-    y4, y3, _ = state
-    rf11, rf12, rf21 = ratios.rf11, ratios.rf12, ratios.rf21
-    diff = -2.0 * rf11
+    y4, y3 = state[0], state[1]
+    diff = -2.0 * rf11  # rf22 - rf11
     return (
         (-rf21 - diff * y4 + rf12 * y4 * y4) / r,
         (-y4 * rf12 + 0.5 * diff) / r,
@@ -302,29 +251,21 @@ def y1_system(
     eigenfunction normalization (identically zero for these equilibria,
     carried for generality).
     """
-    phi_like = approach is Approach.PHI
+    body = y1_phi_system_rhs if approach is Approach.PHI else y1_g_system_rhs
+    if augmented:
+
+        def rhs(r: float, y: tuple[complex, ...], omega: complex):
+            rf11, rf12, rf21 = _ratios(eq, m, k, omega, r)
+            # (rf11 + rf22)/r vanishes identically
+            return body(r, y, rf11, rf12, rf21) + (0j,)
+
+        return OdeSystem(dimension=4, rhs=rhs)
 
     def rhs(r: float, y: tuple[complex, ...], omega: complex):
         rf11, rf12, rf21 = _ratios(eq, m, k, omega, r)
-        y4, y3 = y[0], y[1]
-        diff = -2.0 * rf11
-        if phi_like:
-            out = (
-                (-rf21 - diff * y4 + (y4 * y4 - y3 * y3) * rf12) / r,
-                (2.0 * y3 * y4 * rf12 + 2.0 * rf11 * y3) / r,
-                2.0 * y3 * rf12 / r,
-            )
-        else:
-            out = (
-                (-rf21 - diff * y4 + rf12 * y4 * y4) / r,
-                (-y4 * rf12 + 0.5 * diff) / r,
-                rf12 * cmath.exp(-2.0 * y3) / r,
-            )
-        if augmented:
-            return out + (0j,)  # (rf11 + rf22)/r vanishes identically
-        return out
+        return body(r, y, rf11, rf12, rf21)
 
-    return OdeSystem(dimension=4 if augmented else 3, rhs=rhs)
+    return OdeSystem(dimension=3, rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -544,9 +485,7 @@ def eigenfunctions_y(
     axis for the g approach).  Y depends only on the continuous state, so
     it stays continuous across interfaces where y1', y2' jump.
     """
-    inward, outward = trajectories
-    rs = np.concatenate([inward.xs[::-1], outward.xs[1:]])
-    ys = np.concatenate([inward.ys[::-1], outward.ys[1:]])
+    rs, ys = merge_legs(*trajectories)
     if ys.shape[1] < 4:
         raise ValueError("eigenfunctions need trajectories of the augmented system")
     y4, y3, third, integral = ys[:, 0], ys[:, 1], ys[:, 2], ys[:, 3]

@@ -168,17 +168,12 @@ def _wrap(d: float) -> float:
 def _eval_samples(
     qf: QuantizationFunction, samples: np.ndarray, workers: int
 ) -> list[complex | None]:
+    job = _SampleJob(qf)
     if workers <= 1:
-        out: list[complex | None] = []
-        for w in samples:
-            try:
-                out.append(complex(qf(complex(w))))
-            except SchwarzianSLError:
-                out.append(None)
-        return out
+        return [job(w) for w in samples.tolist()]
     chunk = max(16, len(samples) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_SampleJob(qf), samples.tolist(), chunksize=chunk))
+        return list(pool.map(job, samples.tolist(), chunksize=chunk))
 
 
 class _SampleJob:

@@ -38,6 +38,7 @@ from .integrate import (
     Tolerances,
     Trajectory,
     integrate_bidirectional,
+    merge_legs,
 )
 
 _SINGULAR_TOL = 1e-12
@@ -336,18 +337,17 @@ def branch_tracked_sqrt(values: np.ndarray) -> np.ndarray:
 
 
 def eigenfunction(
-    traj: Trajectory,
+    xs: np.ndarray,
+    ys: np.ndarray,
     constant: complex,
     approach: Approach,
-    problem: SLProblem | None = None,
 ) -> SampledFunction:
-    """Sample f and F along one trajectory (one free overall constant).
+    """Sample f and F at the states ``ys`` taken at ``xs`` (one free
+    overall constant).
 
     g approach: f = (g + C2/C1) e^{Lam}.
     Phi approach: f = sin((Phi + C)/2) / sqrt(F2) with branch-tracked root.
     """
-    ys = traj.ys
-    xs = traj.xs
     if approach is Approach.G:
         f = (ys[:, 2] + constant) * np.exp(ys[:, 1])
     else:
@@ -362,23 +362,13 @@ def eigenfunction_bidirectional(
     traj_high: Trajectory,
     constant: complex,
     approach: Approach,
-    problem: SLProblem | None = None,
 ) -> SampledFunction:
     """Merge the two legs into one ascending-x sample set.
 
     Branch tracking of sqrt(F2) runs over the merged ordering so the root
     is continuous through the launch point.
     """
-    xs = np.concatenate([traj_low.xs[::-1], traj_high.xs[1:]])
-    ys = np.concatenate([traj_low.ys[::-1], traj_high.ys[1:]])
-    merged = Trajectory(
-        xs=xs,
-        ys=ys,
-        terminal=traj_high.terminal,
-        stop_reason=traj_high.stop_reason,
-        error_estimate=traj_low.error_estimate + traj_high.error_estimate,
-    )
-    return eigenfunction(merged, constant, approach, problem)
+    return eigenfunction(*merge_legs(traj_low, traj_high), constant, approach)
 
 
 def schwarzian_derivative(g_samples: Sequence[complex], h: float) -> np.ndarray:

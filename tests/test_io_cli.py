@@ -78,6 +78,8 @@ def test_cli_solve_harmonic(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "0.5" in printed
     data = np.loadtxt(out, delimiter=",", skiprows=text.count("#") + 1)
+    # n counts nodes, as the catalog targets do
+    assert data[:, 0].tolist() == [0, 1, 2]
     assert np.allclose(data[:, 1], [0.5, 1.5, 2.5], atol=1e-4)
 
 
@@ -145,6 +147,36 @@ def test_cli_numerical_failure_exit_code():
     assert code == 3
 
 
+def test_cli_non_finite_rhs_is_numerical_failure(monkeypatch):
+    import schwarzian_sl.cli as cli
+
+    def blow_up(*args, **kwargs):
+        raise s.NonFiniteRhs("rhs is not finite at x=0.0")
+
+    monkeypatch.setattr(cli, "solve_asymptotic", blow_up)
+    code = main(["eigenfunction", "--problem", "harmonic", "--eigenvalue", "0.5"])
+    assert code == 3
+
+
+def test_cli_web_json_is_strict(tmp_path):
+    # the grid centre omega = k V0 = pi lies on the singular surface
+    out = tmp_path / "web.json"
+    code = main(
+        ["web", "--problem", "cohn", "--region",
+         "2.141592653589793,4.141592653589793,0,1", "--grid", "9x9",
+         "--format", "json", "--no-refine", "--threads", "1", "--out", str(out)]
+    )
+    assert code == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(out.read_text(), parse_constant=refuse)
+    psi = doc["data"]["psi"]
+    assert len(psi) == 81 and psi.count(None) == 1
+    assert doc["meta"]["config"]["refine"] is False
+
+
 def test_cli_web_small_grid(tmp_path, capsys):
     out = tmp_path / "web.json"
     code = main(
@@ -210,7 +242,7 @@ def test_cli_config_file_defaults_and_flag_override(tmp_path, capsys):
     )
     assert code == 0
     printed = capsys.readouterr().out
-    # flag wins: only the n=1 state sits below 1
+    # flag wins: only the n=0 state sits below 1
     assert "1 eigenvalue(s)" in printed
 
 

@@ -60,26 +60,26 @@ def test_interior_ratios_unmagnetized(eq):
     # kt^2 = w0^2 - k^2 - m^2/r^2
     m, r = 1, 0.5
     w0 = OMEGA - K * 1.0
-    ratios = s.coefficient_ratios(eq, s.ModeParams(m, K, OMEGA), r)
+    rf11, rf12, rf21 = _ratios(eq, m, K, OMEGA, r)
     kt_sq = w0 * w0 - K * K - m * m / (r * r)
-    assert ratios.rf11 == 0j
-    assert_close(ratios.rf12, kt_sq * r * r / (w0 * w0), 1e-12, "rf12")
-    assert_close(ratios.rf21, -w0 * w0, 1e-12, "rf21")
+    assert rf11 == 0j
+    assert_close(rf12, kt_sq * r * r / (w0 * w0), 1e-12, "rf12")
+    assert_close(rf21, -w0 * w0, 1e-12, "rf21")
 
 
 def test_exterior_ratios_cold_limit(eq, cohn_model):
     # cold magnetized exterior: kt^2 = rho w^2 / B^2 - k^2 - m^2/r^2
     m, r = 0, 2.0
     bphi = cohn_model.field_constant / r
-    ratios = s.coefficient_ratios(eq, s.ModeParams(m, K, OMEGA), r)
+    rf11, rf12, rf21 = _ratios(eq, m, K, OMEGA, r)
     kt_sq = 0.01 * OMEGA * OMEGA / (bphi * bphi) - K * K
     delta = 0.01 * OMEGA * OMEGA
-    assert_close(ratios.rf12, kt_sq * r * r / delta, 1e-12, "rf12 cold")
+    assert_close(rf12, kt_sq * r * r / delta, 1e-12, "rf12 cold")
     assert_close(
-        ratios.rf11, -bphi * bphi * (kt_sq + 2 * K * K) / delta, 1e-12, "rf11 cold"
+        rf11, -bphi * bphi * (kt_sq + 2 * K * K) / delta, 1e-12, "rf11 cold"
     )
     assert_close(
-        ratios.rf21,
+        rf21,
         -(delta + (bphi**4 / (r * r)) * kt_sq / delta),
         1e-12,
         "rf21 cold",
@@ -87,36 +87,42 @@ def test_exterior_ratios_cold_limit(eq, cohn_model):
 
 
 def test_f22_is_minus_f11(eq):
+    # the trace (F11 + F22)/D vanishes: the augmented normalization
+    # integral stands still, and at Y4 = 0 the g system's Y3' is
+    # (F22 - F11)/2D = -F11/D = -rf11/r
     rng = np.random.default_rng(11)
+    state = (0j, 0.1 + 0.2j, 0j, 0j)
     for _ in range(20):
         r = float(rng.uniform(0.05, 6.0))
         m = int(rng.integers(-2, 3))
         w = complex(rng.uniform(0.5, 6), rng.uniform(0.1, 4))
-        ratios = s.coefficient_ratios(eq, s.ModeParams(m, K, w), r)
-        assert ratios.rf22 == -ratios.rf11
-        assert ratios.f22_over_D == -ratios.f11_over_D
+        rf11, _, _ = _ratios(eq, m, K, w, r)
+        d = s.y1_system(eq, m, K, Approach.G, augmented=True).rhs(r, state, w)
+        assert d[3] == 0j
+        assert_close(d[1], -rf11 / r, 1e-14 * max(1.0, abs(rf11 / r)))
 
 
 def test_singular_surface_raises(eq):
     # interior flow resonance: omega = k V0 makes rho w_co^2 vanish
     with pytest.raises(s.SingularSurface):
-        s.coefficient_ratios(eq, s.ModeParams(0, K, complex(K)), 0.5)
+        _ratios(eq, 0, K, complex(K), 0.5)
 
 
 # ----------------------------------------------------------- Y Riccati
 
 
 def test_y_riccati_rhs_at_zero(eq):
-    ratios = s.coefficient_ratios(eq, s.ModeParams(0, K, OMEGA), 0.5)
-    value = s.y_riccati_rhs(ratios, 0.5, 0j)
-    assert_close(value, -ratios.rf12 / 0.5, 1e-14)
+    _, rf12, _ = _ratios(eq, 0, K, OMEGA, 0.5)
+    (value,) = s.y_riccati_system(eq, 0, K).rhs(0.5, (0j,), OMEGA)
+    assert_close(value, -rf12 / 0.5, 1e-14)
 
 
 def test_y_riccati_fixed_point(eq):
     # interior has F11 = F22, so dY/dr = 0 at Y^2 = (F12/D)/(F21/D)
-    ratios = s.coefficient_ratios(eq, s.ModeParams(0, K, OMEGA), 0.5)
-    y_fp = cmath.sqrt(ratios.rf12 / ratios.rf21)
-    assert abs(s.y_riccati_rhs(ratios, 0.5, y_fp)) < 1e-12
+    _, rf12, rf21 = _ratios(eq, 0, K, OMEGA, 0.5)
+    y_fp = cmath.sqrt(rf12 / rf21)
+    (value,) = s.y_riccati_system(eq, 0, K).rhs(0.5, (y_fp,), OMEGA)
+    assert abs(value) < 1e-12
 
 
 def _bessel_j0_j1(z, terms=6):
@@ -148,8 +154,8 @@ def test_y_riccati_against_bessel_series(eq):
     dj0 = -lam * j1
     dj1 = lam * j0 - j1 / r
     dY = -(lam / rho_w0sq) * (j1 / j0 + r * (dj1 * j0 - j1 * dj0) / (j0 * j0))
-    ratios = s.coefficient_ratios(eq, s.ModeParams(0, K, OMEGA), r)
-    residual = dY - s.y_riccati_rhs(ratios, r, Y(r))
+    (rhs,) = s.y_riccati_system(eq, 0, K).rhs(r, (Y(r),), OMEGA)
+    residual = dY - rhs
     assert abs(residual) < 1e-10
 
 
@@ -157,18 +163,19 @@ def test_y_riccati_against_bessel_series(eq):
 
 
 def test_y1_phi_decay_manifold(eq):
-    ratios = s.coefficient_ratios(eq, s.ModeParams(0, K, OMEGA), 0.7)
-    d = s.y1_phi_system_rhs(ratios, 0.7, (0.3 + 0.1j, 0j, 1 + 0j))
+    ratios = _ratios(eq, 0, K, OMEGA, 0.7)
+    d = s.y1_phi_system_rhs(0.7, (0.3 + 0.1j, 0j, 1 + 0j), *ratios)
     assert d[1] == 0j
 
 
 def test_y1_g_pure_drift_when_f12_zero():
     # F12 = 0: Y3' reduces to (F22-F11)/2D and g1 stops moving
     r = 0.5
-    ratios = s.CoefficientRatios(r=r, rf11=0.5 + 0.1j, rf12=0j, rf21=1 + 0j)
-    d = s.y1_g_system_rhs(ratios, r, (0.2 + 0j, 0.1 + 0j, 0j))
+    rf11 = 0.5 + 0.1j
+    rf22 = -rf11
+    d = s.y1_g_system_rhs(r, (0.2 + 0j, 0.1 + 0j, 0j), rf11, 0j, 1 + 0j)
     assert d[2] == 0j
-    assert_close(d[1], (ratios.rf22 - ratios.rf11) / (2 * r), 1e-14)
+    assert_close(d[1], (rf22 - rf11) / (2 * r), 1e-14)
 
 
 def test_near_axis_m0_log_behavior(eq):

@@ -102,6 +102,28 @@ def test_spectral_web_missing_samples_excluded():
     assert [c.winding for c in web.charges] == [1]
 
 
+class _NonFiniteAt:
+    """Picklable w - (4 + 3j) whose rhs blows up at one grid point."""
+
+    def __init__(self, bad: complex):
+        self.bad = bad
+
+    def __call__(self, w: complex) -> complex:
+        if w == self.bad:
+            raise s.NonFiniteRhs("rhs is not finite at the launch point")
+        return w - (4 + 3j)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_spectral_web_non_finite_sample_is_a_failure(workers):
+    re, im = np.linspace(0, 6, 12), np.linspace(0, 4, 12)
+    bad = complex(re[2], im[3])
+    web = s.spectral_web(_NonFiniteAt(bad), (0, 6, 0, 4), 12, 12, workers=workers)
+    assert [w for w, _ in web.failures] == [bad]
+    assert np.isnan(web.psi).sum() == 1 and np.isnan(web.psi[2, 3])
+    assert [c.winding for c in web.charges] == [1]
+
+
 def test_refine_complex_root_exact_seed():
     assert s.refine_complex_root(lambda w: w * w - 2j, 1 + 1j) == 1 + 1j
 

@@ -304,7 +304,7 @@ def test_constant_oscillator_eigenfunction_is_plane_wave():
     tol = s.Tolerances(rel=1e-12, abs=1e-14)
     tr = s.integrate(s.g_system(problem), 0.0, 30.0, (0.2 + 0.1j, 0j, 0j), 0j, tol)
     c = s.solve_constant_from_bc(tr.y_end, INF, Approach.G)
-    samples = s.eigenfunction(tr, c, Approach.G)
+    samples = s.eigenfunction(tr.xs, tr.ys, c, Approach.G)
     i1 = int(np.searchsorted(samples.xs, 2.0))
     i2 = int(np.searchsorted(samples.xs, 4.0))
     ratio = samples.f[i2] / samples.f[i1]
