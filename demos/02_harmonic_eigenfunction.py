@@ -25,7 +25,7 @@ low, high, _ = s.solve_asymptotic(problem, e0, Approach.PHI, tol, store_path=Tru
 constant = s.solve_constant_from_bc(
     low.y_end, complex(float("inf"), 0.0), Approach.PHI
 )
-samples = s.eigenfunction_bidirectional(low, high, constant, Approach.PHI)
+samples = s.eigenfunction(*s.merge_legs(low, high), constant, Approach.PHI)
 
 peak = samples.f[np.argmax(np.abs(samples.f))]
 normalized = samples.f / peak

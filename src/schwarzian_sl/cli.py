@@ -31,7 +31,6 @@ from .mhd import (
     jet_trajectories,
 )
 from .rootfind import (
-    NoConvergence,
     dispersion_scan,
     refine_complex_root,
     scan_real,
@@ -273,7 +272,7 @@ def cmd_web(args: argparse.Namespace) -> int:
                 root = refine_complex_root(qf, charge.location, tol=1e-10)
                 roots.append(root)
                 print(f"    refined root: {root:.10g}")
-            except NoConvergence as exc:
+            except SchwarzianSLError as exc:
                 print(f"    refinement failed: {exc}", file=sys.stderr)
     meta = _meta(args, m=config.m, k=config.k)
     re = np.repeat(web.grid_re(), ny)
@@ -307,10 +306,9 @@ def cmd_eigenfunction(args: argparse.Namespace) -> int:
     if entry.kind == "stability":
         _check_method(entry.kind, method, finite=False)
         approach = _approach(method)
-        eq = built.model.equilibrium()
         inward, outward = jet_trajectories(
-            eq, built.m, built.k, eigenvalue, approach,
-            start=built.model.radius, tol=tol, augmented=True,
+            built.model.equilibrium(), built.m, built.k, eigenvalue, approach,
+            start=built.model.radius, tol=tol,
         )
         constant = -inward.y_end[2]
         samples = eigenfunctions_y((inward, outward), constant, approach)

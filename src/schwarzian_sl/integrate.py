@@ -11,7 +11,9 @@ Stopping semantics:
 * ``EventFired``   -- a user predicate became true at an accepted step.
 * ``StepFailure``  -- the step size underflowed ``min_step`` (typically
   while fighting a pole of the right-hand side) or the step budget ran
-  out; the last accepted state is returned, never NaN.
+  out; the last accepted state is returned, never NaN.  Callers that read
+  the terminal state turn this into a ``StepFailure`` error through
+  ``raise_if_stalled``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ class DimensionMismatch(ValueError):
 
 class NonFiniteRhs(SchwarzianSLError):
     """The right-hand side is NaN/inf already at the launch point."""
+
+
+class StepFailure(SchwarzianSLError):
+    """A leg whose terminal state is needed stalled before its end."""
 
 
 class StopReason(Enum):
@@ -347,6 +353,17 @@ def integrate_bidirectional(
     return low, high
 
 
+def raise_if_stalled(*legs: Trajectory) -> None:
+    """Raise StepFailure if any leg stopped on ``StopReason.STEP_FAILURE``.
+
+    Its terminal state is then the last accepted one, not the value the
+    caller asked for.
+    """
+    for leg in legs:
+        if leg.stop_reason is StopReason.STEP_FAILURE:
+            raise StepFailure(f"integration stalled at x={leg.x_end}")
+
+
 def merge_legs(low: Trajectory, high: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """(xs, ys) of two legs launched from one point, in ascending x.
 
@@ -376,10 +393,7 @@ def integrate_checkpoints(
             states.append(tuple(y))
             continue
         leg = integrate(sys, x, target, y, lam, tol, store_path=False)
-        if leg.stop_reason is not StopReason.REACHED_END:
-            raise RuntimeError(
-                f"checkpoint integration stalled at x={leg.x_end} ({leg.stop_reason})"
-            )
+        raise_if_stalled(leg)
         x, y = leg.terminal
         states.append(tuple(y))
     return np.asarray(states, dtype=complex)

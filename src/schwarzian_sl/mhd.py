@@ -11,6 +11,9 @@ across equilibrium interfaces, so the problem is solved in Riccati form
 
 or through the Schwarzian splittings of 1/Y, whose third component (g1 or
 Phi1) carries the quantization condition between the axis and infinity.
+Every equilibrium expressible here has F22 = -F11, so the trace
+(F11 + F22)/D vanishes and the splittings need no fourth component for
+the eigenfunction normalization: the state is (Y4, Y3, g1 or Phi1).
 
 All ratios are evaluated in the scalings r*F_ij/D, which stay finite at
 the axis and make the 1/r structure of the system explicit.
@@ -21,12 +24,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import SchwarzianSLError
-from .integrate import OdeSystem, Tolerances, Trajectory, integrate, merge_legs
+from .integrate import (
+    OdeSystem,
+    Tolerances,
+    Trajectory,
+    integrate,
+    merge_legs,
+    raise_if_stalled,
+)
 from .schwarzian import Approach, branch_tracked_sqrt
 
 _INTERFACE_NUDGE = 1e-9  # relative launch offset off an interface
@@ -154,12 +164,6 @@ class MhdEquilibrium:
         return d_total + d_hoop / r**2
 
 
-class ModeParams(NamedTuple):
-    m: int
-    k: float
-    omega: complex
-
-
 def _ratios(
     eq: MhdEquilibrium, m: int, k: float, omega: complex, r: float
 ) -> tuple[complex, complex, complex]:
@@ -209,7 +213,7 @@ def y_riccati_system(eq: MhdEquilibrium, m: int, k: float) -> OdeSystem:
 def y1_phi_system_rhs(
     r: float, state: Sequence[complex], rf11: complex, rf12: complex, rf21: complex
 ) -> tuple[complex, complex, complex]:
-    """Right side of the y1 Schwarzian Phi system; state = (Y4, Y3, Phi1, ...).
+    """Right side of the y1 Schwarzian Phi system; state = (Y4, Y3, Phi1).
 
     Reconstruction: 1/Y = Y4 - Y3 cot((Phi1 + C)/2).
     """
@@ -225,7 +229,7 @@ def y1_phi_system_rhs(
 def y1_g_system_rhs(
     r: float, state: Sequence[complex], rf11: complex, rf12: complex, rf21: complex
 ) -> tuple[complex, complex, complex]:
-    """Right side of the y1 Schwarzian g system; state = (Y4, Y3, g1, ...).
+    """Right side of the y1 Schwarzian g system; state = (Y4, Y3, g1).
 
     Reconstruction: 1/Y = Y4 - e^{-2 Y3} / (g1 + C2/C1).
     """
@@ -238,28 +242,10 @@ def y1_g_system_rhs(
     )
 
 
-def y1_system(
-    eq: MhdEquilibrium,
-    m: int,
-    k: float,
-    approach: Approach,
-    augmented: bool = False,
-) -> OdeSystem:
-    """The y1 Schwarzian system as an integrable OdeSystem.
-
-    ``augmented`` appends the integral of (F11 + F22)/D needed by the
-    eigenfunction normalization (identically zero for these equilibria,
-    carried for generality).
-    """
+def y1_system(eq: MhdEquilibrium, m: int, k: float, approach: Approach) -> OdeSystem:
+    """The three-component y1 Schwarzian system (Y4, Y3, g1 or Phi1) as an
+    integrable OdeSystem; omega is its parameter."""
     body = y1_phi_system_rhs if approach is Approach.PHI else y1_g_system_rhs
-    if augmented:
-
-        def rhs(r: float, y: tuple[complex, ...], omega: complex):
-            rf11, rf12, rf21 = _ratios(eq, m, k, omega, r)
-            # (rf11 + rf22)/r vanishes identically
-            return body(r, y, rf11, rf12, rf21) + (0j,)
-
-        return OdeSystem(dimension=4, rhs=rhs)
 
     def rhs(r: float, y: tuple[complex, ...], omega: complex):
         rf11, rf12, rf21 = _ratios(eq, m, k, omega, r)
@@ -286,10 +272,10 @@ class AxisLimits:
     inv_y_coefficient: complex | None = None
 
 
-def axis_limits(eq: MhdEquilibrium, mode: ModeParams) -> AxisLimits:
+def axis_limits(eq: MhdEquilibrium, m: int, k: float, omega: complex) -> AxisLimits:
     r1, r2 = 1e-4, 5e-5
-    a1 = _ratios(eq, mode.m, mode.k, mode.omega, r1)
-    a2 = _ratios(eq, mode.m, mode.k, mode.omega, r2)
+    a1 = _ratios(eq, m, k, omega, r1)
+    a2 = _ratios(eq, m, k, omega, r2)
 
     def richardson(i: int, scale1: float = 1.0, scale2: float = 1.0) -> complex:
         v1 = a1[i] * scale1
@@ -301,20 +287,20 @@ def axis_limits(eq: MhdEquilibrium, mode: ModeParams) -> AxisLimits:
             )
         return limit
 
-    if mode.m != 0:
+    if m != 0:
         d11 = richardson(0)
         d12 = richardson(1)
         d21 = richardson(2)
         values = {"d11": d11, "d12": d12, "d21": d21, "d22": -d11}
         identity = d11 * d11 + d12 * d21
-        if abs(identity - mode.m**2) > 1e-6 * max(1.0, abs(mode.m) ** 2):
+        if abs(identity - m**2) > 1e-6 * max(1.0, abs(m) ** 2):
             raise LimitNotConverged(
-                f"d11^2 + d12 d21 = {identity}, expected m^2 = {mode.m ** 2}"
+                f"d11^2 + d12 d21 = {identity}, expected m^2 = {m ** 2}"
             )
         return AxisLimits(
-            m=mode.m,
+            m=m,
             values=values,
-            acceptable_inv_y=-(abs(mode.m) + d11) / d12,
+            acceptable_inv_y=-(abs(m) + d11) / d12,
         )
     b11 = richardson(0, 1.0 / r1**2, 1.0 / r2**2)
     b12 = richardson(1, 1.0 / r1**2, 1.0 / r2**2)
@@ -385,7 +371,6 @@ def jet_trajectories(
     cuts: tuple[float, float] = DEFAULT_CUTS,
     start: float = 1.0,
     tol: Tolerances = Tolerances(rel=1e-8, abs=1e-10),
-    augmented: bool = False,
     store_path: bool = True,
 ) -> tuple[Trajectory, Trajectory]:
     """Integrate from the launch radius toward the axis and toward infinity.
@@ -396,9 +381,7 @@ def jet_trajectories(
     """
     if launch is None:
         launch = DEFAULT_PHI_LAUNCH if approach is Approach.PHI else DEFAULT_G_LAUNCH
-    if augmented and len(launch) == 3:
-        launch = tuple(launch) + (0j,)
-    sys = y1_system(eq, m, k, approach, augmented)
+    sys = y1_system(eq, m, k, approach)
     on_interface = start in eq.interfaces
     start_in = start * (1.0 - _INTERFACE_NUDGE) if on_interface else start
     inward = integrate(
@@ -406,38 +389,6 @@ def jet_trajectories(
     )
     outward = integrate(sys, start, cuts[1], launch, omega, tol, store_path=store_path)
     return inward, outward
-
-
-def jet_quantization(
-    model: CohnJetModel,
-    mode: ModeParams,
-    approach: Approach = Approach.G,
-    launch: Sequence[complex] | None = None,
-    cuts: tuple[float, float] = DEFAULT_CUTS,
-    tol: Tolerances = Tolerances(rel=1e-8, abs=1e-10),
-) -> complex:
-    """Quantization value between infinity and the axis.
-
-    g approach: g1(outer cut) - g1(inner cut); Phi approach:
-    sin((Phi1(outer) - Phi1(inner))/2).  Roots in omega are the eigenvalues.
-    """
-    eq = model.equilibrium()
-    inward, outward = jet_trajectories(
-        eq,
-        mode.m,
-        mode.k,
-        mode.omega,
-        approach,
-        launch,
-        cuts,
-        start=model.radius,
-        tol=tol,
-        store_path=False,
-    )
-    value = outward.y_end[2] - inward.y_end[2]
-    if approach is Approach.PHI:
-        return cmath.sin(value / 2.0)
-    return value
 
 
 @dataclass(frozen=True)
@@ -454,14 +405,29 @@ class JetQuantizationFunction:
     abs_tol: float = 1e-10
 
     def __call__(self, omega: complex) -> complex:
-        return jet_quantization(
-            self.model,
-            ModeParams(self.m, self.k, omega),
+        """Quantization value between infinity and the axis.
+
+        g approach: g1(outer cut) - g1(inner cut); Phi approach:
+        sin((Phi1(outer) - Phi1(inner))/2).  Roots in omega are the
+        eigenvalues.  A leg that stalls before its cut raises StepFailure.
+        """
+        inward, outward = jet_trajectories(
+            self.model.equilibrium(),
+            self.m,
+            self.k,
+            omega,
             self.approach,
             self.launch,
             self.cuts,
-            Tolerances(rel=self.rel_tol, abs=self.abs_tol),
+            start=self.model.radius,
+            tol=Tolerances(rel=self.rel_tol, abs=self.abs_tol),
+            store_path=False,
         )
+        raise_if_stalled(inward, outward)
+        value = outward.y_end[2] - inward.y_end[2]
+        if self.approach is Approach.PHI:
+            return cmath.sin(value / 2.0)
+        return value
 
 
 @dataclass
@@ -479,26 +445,24 @@ def eigenfunctions_y(
     constant: complex,
     approach: Approach = Approach.G,
 ) -> YSamples:
-    """Reconstruct (y1, y2, Y) from augmented trajectories.
+    """Reconstruct (y1, y2, Y) from the two legs of ``jet_trajectories``.
 
     The constant is solved from the axis condition (C2/C1 = -g1 at the
     axis for the g approach).  Y depends only on the continuous state, so
     it stays continuous across interfaces where y1', y2' jump.
     """
     rs, ys = merge_legs(*trajectories)
-    if ys.shape[1] < 4:
-        raise ValueError("eigenfunctions need trajectories of the augmented system")
-    y4, y3, third, integral = ys[:, 0], ys[:, 1], ys[:, 2], ys[:, 3]
+    y4, y3, third = ys[:, 0], ys[:, 1], ys[:, 2]
     # y2 is assembled in a form that stays regular where g1 + C -> 0 (the
     # axis end with the axis-solved constant): the 1/(g1+C) pole of 1/Y is
     # cancelled by the zero of y1 there.
     if approach is Approach.G:
-        envelope = np.exp(y3 - integral / 2.0)
+        envelope = np.exp(y3)
         y1 = (third + constant) * envelope
         y2 = (y4 * (third + constant) - np.exp(-2.0 * y3)) * envelope
     else:
         w = (third + constant) / 2.0
-        envelope = 1.0 / branch_tracked_sqrt(y3 * np.exp(integral))
+        envelope = 1.0 / branch_tracked_sqrt(y3)
         y1 = np.sin(w) * envelope
         y2 = (y4 * np.sin(w) - y3 * np.cos(w)) * envelope
     with np.errstate(divide="ignore", invalid="ignore"):

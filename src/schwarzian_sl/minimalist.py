@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Coefficients, SLProblem, ZeroCoefficient, default_fd_step
-from .integrate import OdeSystem, StopReason, Tolerances, integrate
+from .integrate import OdeSystem, Tolerances, integrate, raise_if_stalled
 
 GaugeFunction = Callable[[float], complex]
 
@@ -193,8 +193,5 @@ def solve_finite_interval(
         tol,
         store_path=False,
     )
-    if traj.stop_reason is not StopReason.REACHED_END:
-        raise RuntimeError(
-            f"phase integration stopped early at x={traj.x_end} ({traj.stop_reason})"
-        )
+    raise_if_stalled(traj)
     return traj.y_end[0]

@@ -65,7 +65,8 @@ def scan_real(
 
     The grid is cell-centered inside ``lam_range`` so open-interval ranges
     (for instance ones whose endpoint would degenerate the launch state)
-    are sampled safely.  Failed samples are recorded and skipped.
+    are sampled safely.  Failed samples are recorded and skipped; a failure
+    at a bisection midpoint is recorded and drops that crossing.
     """
     lo, hi = lam_range
     if n_samples < 2:
@@ -98,13 +99,17 @@ def scan_real(
                 continue
             if fa * fb > 0.0:
                 continue
-            while b - a > rel_width * max(abs(a), abs(b), 1e-30):
-                mid = 0.5 * (a + b)
-                fm = winding(mid) - n
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
+            try:
+                while b - a > rel_width * max(abs(a), abs(b), 1e-30):
+                    mid = 0.5 * (a + b)
+                    fm = winding(mid) - n
+                    if fa * fm <= 0.0:
+                        b = mid
+                    else:
+                        a, fa = mid, fm
+            except SchwarzianSLError as exc:
+                failures.append((mid, str(exc)))
+                continue
             crossings.append(Crossing((float(grid[i]), float(grid[i + 1])), n, 0.5 * (a + b)))
     return RealScan(grid=grid, values=values, crossings=crossings, failures=failures)
 
@@ -343,7 +348,7 @@ def dispersion_scan(
             try:
                 root = refine_complex_root(qf, previous, refine_tol)
                 method = "continuation"
-            except (NoConvergence, SchwarzianSLError):
+            except SchwarzianSLError:
                 root = None
         if root is None:
             if previous is None:
@@ -362,7 +367,7 @@ def dispersion_scan(
                 try:
                     root = refine_complex_root(qf, seed, refine_tol)
                     method = "web"
-                except NoConvergence:
+                except SchwarzianSLError:
                     root = None
         points.append(DispersionPoint(k=float(k), omega=root, method=method))
         if root is not None:

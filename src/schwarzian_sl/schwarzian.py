@@ -38,7 +38,7 @@ from .integrate import (
     Tolerances,
     Trajectory,
     integrate_bidirectional,
-    merge_legs,
+    raise_if_stalled,
 )
 
 _SINGULAR_TOL = 1e-12
@@ -49,11 +49,6 @@ DEFAULT_DECAY = 1e-8  # |F2| (or e^{-2 Lam}) fraction of launch value that
 class Approach(Enum):
     G = "g"
     PHI = "phi"
-
-
-class QuantizationKind(Enum):
-    G_DIFFERENCE = "GDifference"
-    PHI_WINDING = "PhiWinding"
 
 
 class DegenerateLaunch(SchwarzianSLError):
@@ -82,12 +77,6 @@ class PhiState(NamedTuple):
     F1: complex
     F2: complex
     Phi: complex
-
-
-@dataclass(frozen=True)
-class QuantizationResult:
-    value: complex
-    kind: QuantizationKind
 
 
 @dataclass
@@ -225,7 +214,7 @@ def quantization(
     traj_high: Trajectory,
     approach: Approach,
     problem: SLProblem | None = None,
-) -> QuantizationResult:
+) -> complex:
     """Single asymptotic eigenvalue condition from the two terminal states.
 
     g approach: value = g|high - g|low, eigenvalues at value = 0.
@@ -239,10 +228,8 @@ def quantization(
     low = traj_low.y_end[2]
     high = traj_high.y_end[2]
     if approach is Approach.G:
-        return QuantizationResult(high - low, QuantizationKind.G_DIFFERENCE)
-    return QuantizationResult(
-        (high - low) / (2.0 * math.pi), QuantizationKind.PHI_WINDING
-    )
+        return high - low
+    return (high - low) / (2.0 * math.pi)
 
 
 def decay_event(approach: Approach, launch: Sequence[complex], decay: float):
@@ -275,12 +262,13 @@ def solve_asymptotic(
     launch: Sequence[complex] | None = None,
     decay: float = DEFAULT_DECAY,
     store_path: bool = False,
-) -> tuple[Trajectory, Trajectory, QuantizationResult]:
+) -> tuple[Trajectory, Trajectory, complex]:
     """Launch from the start point toward both cuts and quantize.
 
     When an integration direction hits the decay event early the terminal
     values are frozen and stand in for the asymptotic ones (the functions
-    no longer vary significantly there).
+    no longer vary significantly there).  A leg that stalls before its cut
+    or event raises StepFailure: its last state is not asymptotic.
     """
     d = problem.domain
     if launch is None:
@@ -300,7 +288,9 @@ def solve_asymptotic(
         event,
         store_path,
     )
-    return low, high, quantization(low, high, approach, problem)
+    value = quantization(low, high, approach, problem)
+    raise_if_stalled(low, high)
+    return low, high, value
 
 
 def phi_winding_value(
@@ -310,8 +300,7 @@ def phi_winding_value(
     launch: Sequence[complex] | None = None,
     decay: float = DEFAULT_DECAY,
 ) -> complex:
-    _, _, result = solve_asymptotic(problem, lam, Approach.PHI, tol, launch, decay)
-    return result.value
+    return solve_asymptotic(problem, lam, Approach.PHI, tol, launch, decay)[2]
 
 
 def g_difference_value(
@@ -321,8 +310,7 @@ def g_difference_value(
     launch: Sequence[complex] | None = None,
     decay: float = DEFAULT_DECAY,
 ) -> complex:
-    _, _, result = solve_asymptotic(problem, lam, Approach.G, tol, launch, decay)
-    return result.value
+    return solve_asymptotic(problem, lam, Approach.G, tol, launch, decay)[2]
 
 
 def branch_tracked_sqrt(values: np.ndarray) -> np.ndarray:
@@ -347,6 +335,8 @@ def eigenfunction(
 
     g approach: f = (g + C2/C1) e^{Lam}.
     Phi approach: f = sin((Phi + C)/2) / sqrt(F2) with branch-tracked root.
+    For two legs pass ``*merge_legs(low, high)``, so the branch of the root
+    is tracked continuously through the launch point.
     """
     if approach is Approach.G:
         f = (ys[:, 2] + constant) * np.exp(ys[:, 1])
@@ -355,20 +345,6 @@ def eigenfunction(
         f = np.sin((ys[:, 2] + constant) / 2.0) / root
     F = np.array([reconstruct_F(tuple(s), constant, approach) for s in ys])
     return SampledFunction(xs=xs.copy(), f=f, F=F)
-
-
-def eigenfunction_bidirectional(
-    traj_low: Trajectory,
-    traj_high: Trajectory,
-    constant: complex,
-    approach: Approach,
-) -> SampledFunction:
-    """Merge the two legs into one ascending-x sample set.
-
-    Branch tracking of sqrt(F2) runs over the merged ordering so the root
-    is continuous through the launch point.
-    """
-    return eigenfunction(*merge_legs(traj_low, traj_high), constant, approach)
 
 
 def schwarzian_derivative(g_samples: Sequence[complex], h: float) -> np.ndarray:

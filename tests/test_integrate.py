@@ -148,3 +148,10 @@ def test_monotone_xs_and_matching_rows():
     tr = s.integrate(oscillator_system(), 0.0, 3.0, (1 + 0j,))
     assert np.all(np.diff(tr.xs) > 0)
     assert tr.ys.shape == (len(tr.xs), 1)
+
+
+def test_checkpoints_stall_raises_step_failure():
+    sys = s.OdeSystem(1, lambda x, y, lam: (1j * y[0],))
+    tol = s.Tolerances(max_steps=3)
+    with pytest.raises(s.StepFailure):
+        s.integrate_checkpoints(sys, 0.0, (1 + 0j,), [50.0, 100.0], tol=tol)

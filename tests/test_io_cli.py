@@ -159,7 +159,9 @@ def test_cli_non_finite_rhs_is_numerical_failure(monkeypatch):
 
 
 def test_cli_web_json_is_strict(tmp_path):
-    # the grid centre omega = k V0 = pi lies on the singular surface
+    # on the Im omega = 0 row, omega = k V0 = pi (Re index 4) lies on the
+    # singular surface, and at Re index 7 and 8 the outward leg stalls at a
+    # pole of Y4 that only real omega puts on the path
     out = tmp_path / "web.json"
     code = main(
         ["web", "--problem", "cohn", "--region",
@@ -173,7 +175,8 @@ def test_cli_web_json_is_strict(tmp_path):
 
     doc = json.loads(out.read_text(), parse_constant=refuse)
     psi = doc["data"]["psi"]
-    assert len(psi) == 81 and psi.count(None) == 1
+    nulls = [i for i, value in enumerate(psi) if value is None]
+    assert len(psi) == 81 and nulls == [4 * 9, 7 * 9, 8 * 9]
     assert doc["meta"]["config"]["refine"] is False
 
 
@@ -210,6 +213,25 @@ def test_cli_web_small_grid(tmp_path, capsys):
     assert len(charges) == 1 and charges[0]["winding"] == 1
     root = complex(doc["data"]["roots"][0]["re"], doc["data"]["roots"][0]["im"])
     assert abs(root - (3.08 + 1.97j)) < 0.02
+
+
+def test_cli_web_refine_failure_is_reported(monkeypatch, capsys):
+    import schwarzian_sl.cli as cli
+
+    # the grid evaluates, but the secant seeded at the charge (3.5+3.5i, a
+    # plaquette centre of the 8x8 web) hits a resonance
+    def singular_at_root(w):
+        if abs(w - (3.5 + 3.5j)) < 0.25:
+            raise s.SingularSurface(f"resonance at {w}")
+        return w - (3.5 + 3.5j)
+
+    monkeypatch.setattr(cli, "_stability_qf", lambda *args: singular_at_root)
+    code = main(["web", "--problem", "cohn", "--region", "0,7,0,7",
+                 "--grid", "8x8", "--threads", "1"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "winding +1" in captured.out
+    assert "refinement failed: resonance at" in captured.err
 
 
 def test_cli_eigenfunction_morse(tmp_path):

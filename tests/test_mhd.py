@@ -1,10 +1,12 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import schwarzian_sl as s
+from schwarzian_sl import mhd
 from schwarzian_sl.mhd import _ratios
 from schwarzian_sl.schwarzian import Approach
 
@@ -87,18 +89,16 @@ def test_exterior_ratios_cold_limit(eq, cohn_model):
 
 
 def test_f22_is_minus_f11(eq):
-    # the trace (F11 + F22)/D vanishes: the augmented normalization
-    # integral stands still, and at Y4 = 0 the g system's Y3' is
+    # the trace (F11 + F22)/D vanishes, so at Y4 = 0 the g system's Y3' is
     # (F22 - F11)/2D = -F11/D = -rf11/r
     rng = np.random.default_rng(11)
-    state = (0j, 0.1 + 0.2j, 0j, 0j)
+    state = (0j, 0.1 + 0.2j, 0j)
     for _ in range(20):
         r = float(rng.uniform(0.05, 6.0))
         m = int(rng.integers(-2, 3))
         w = complex(rng.uniform(0.5, 6), rng.uniform(0.1, 4))
         rf11, _, _ = _ratios(eq, m, K, w, r)
-        d = s.y1_system(eq, m, K, Approach.G, augmented=True).rhs(r, state, w)
-        assert d[3] == 0j
+        d = s.y1_system(eq, m, K, Approach.G).rhs(r, state, w)
         assert_close(d[1], -rf11 / r, 1e-14 * max(1.0, abs(rf11 / r)))
 
 
@@ -185,7 +185,7 @@ def test_near_axis_m0_log_behavior(eq):
     states = s.integrate_checkpoints(
         sysphi, 0.9, (0j, 1 + 0j, 0j), [1e-3, 5e-4, 2.5e-4], OMEGA, tol
     )
-    limits = s.axis_limits(eq, s.ModeParams(0, K, OMEGA))
+    limits = s.axis_limits(eq, 0, K, OMEGA)
     b21 = limits.values["b21"]
     slope = (states[0][0] - states[1][0]) / (math.log(1e-3) - math.log(5e-4))
     assert abs(slope - (-b21)) < 0.02 * abs(b21)
@@ -200,7 +200,7 @@ def test_near_axis_m_nonzero_attractor(eq):
     # generic integration lands on Y4 -> (|m| - d11)/d12
     m = 1
     tol = s.Tolerances(rel=1e-10, abs=1e-12)
-    limits = s.axis_limits(eq, s.ModeParams(m, K, OMEGA))
+    limits = s.axis_limits(eq, m, K, OMEGA)
     d11, d12 = limits.values["d11"], limits.values["d12"]
     sysphi = s.y1_system(eq, m, K, Approach.PHI)
     states = s.integrate_checkpoints(
@@ -218,7 +218,7 @@ def test_axis_limits_identities(eq):
     for _ in range(3):
         w = complex(rng.uniform(1, 5), rng.uniform(0.5, 3))
         for m in (1, 2):
-            limits = s.axis_limits(eq, s.ModeParams(m, K, w))
+            limits = s.axis_limits(eq, m, K, w)
             v = limits.values
             assert v["d22"] == -v["d11"]
             assert abs(v["d11"] ** 2 + v["d12"] * v["d21"] - m * m) < 1e-6
@@ -226,7 +226,7 @@ def test_axis_limits_identities(eq):
 
 
 def test_axis_limits_m0(eq):
-    limits = s.axis_limits(eq, s.ModeParams(0, K, OMEGA))
+    limits = s.axis_limits(eq, 0, K, OMEGA)
     for key in ("b11", "b12", "b21", "b22"):
         value = limits.values[key]
         assert value == value  # finite, not NaN
@@ -239,10 +239,24 @@ def test_axis_limits_m0(eq):
 
 
 def test_jet_quantization_small_at_root(cohn_model):
-    near = s.jet_quantization(cohn_model, s.ModeParams(0, K, 3.08 + 1.97j))
-    far = s.jet_quantization(cohn_model, s.ModeParams(0, K, 10.0 + 10.0j))
+    qf = s.JetQuantizationFunction(cohn_model, 0, K)
+    near = qf(3.08 + 1.97j)
+    far = qf(10.0 + 10.0j)
     assert abs(near) < 0.01
     assert abs(far) > 10 * abs(near)
+
+
+def test_jet_quantization_stall_is_a_failed_sample(cohn_model, monkeypatch):
+    # legs that run out of steps raise StepFailure, and a web maps that to
+    # failed samples rather than to Psi of the stalled state
+    stalling = functools.partial(s.Tolerances, max_steps=3)
+    monkeypatch.setattr(mhd, "Tolerances", stalling)
+    qf = s.JetQuantizationFunction(cohn_model, 0, K)
+    with pytest.raises(s.StepFailure):
+        qf(3.08 + 1.97j)
+    web = s.spectral_web(qf, (2.0, 4.0, 1.0, 3.0), 8, 8)
+    assert len(web.failures) == 64
+    assert web.charges == []
 
 
 def test_jet_quantization_phi_and_g_roots_coincide(cohn_model):
@@ -314,7 +328,7 @@ def eigen_run(eq, cohn_model):
     )
     root = s.refine_complex_root(qf, 3.08 + 1.97j, tol=1e-12)
     trajectories = s.jet_trajectories(
-        eq, 0, K, root, Approach.G, augmented=True,
+        eq, 0, K, root, Approach.G,
         tol=s.Tolerances(rel=1e-10, abs=1e-12),
     )
     constant = -trajectories[0].y_end[2]
@@ -355,9 +369,3 @@ def test_eigenfunction_scaling_leaves_Y(eigen_run):
     scale = 2.3 - 1.1j
     ratio = (scale * samples.y1) / (scale * samples.y2)
     assert np.allclose(ratio, samples.Y)
-
-
-def test_eigenfunction_requires_augmented_state(eq):
-    trajectories = s.jet_trajectories(eq, 0, K, OMEGA, Approach.G, augmented=False)
-    with pytest.raises(ValueError):
-        s.eigenfunctions_y(trajectories, 0j, Approach.G)

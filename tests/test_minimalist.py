@@ -113,3 +113,18 @@ def test_default_gauge_keeps_paine_crossings(paine_problem, tight_tol, n):
     for sub in (DEFAULT_GAUGE, None):
         phi_end = s.solve_finite_interval(paine_problem, sub, lam=lam, tol=tight_tol)
         assert abs(phi_end / (2 * math.pi) - n) < 1e-6
+
+
+def test_stalled_phase_is_a_failed_scan_sample(paine_problem):
+    # a phase leg that runs out of steps raises StepFailure, which the scan
+    # records as a failed sample instead of taking the stalled Phi
+    tol = s.Tolerances(max_steps=3)
+    with pytest.raises(s.StepFailure):
+        s.solve_finite_interval(paine_problem, lam=100.0, tol=tol)
+    scan = s.scan_real(
+        lambda lam: s.solve_finite_interval(paine_problem, lam=lam, tol=tol),
+        (0.0, 20.0),
+        4,
+    )
+    assert len(scan.failures) == 4
+    assert scan.crossings == []

@@ -195,3 +195,30 @@ def test_dispersion_scan_records_gap_then_recovers():
     assert points[0].omega is not None
     assert points[1].omega is None
     assert points[2].omega is not None
+
+
+def test_scan_real_bisection_failure_drops_crossing():
+    # grid 0.5, 1.5, 2.5: the first bisection midpoint of the n = 1 bracket
+    # is exactly 1.0, where the evaluation fails
+    def qf(lam):
+        if lam.real == 1.0:
+            raise s.SchwarzianSLError("failure inside a bracket")
+        return complex(lam.real)
+
+    scan = s.scan_real(qf, (0.0, 3.0), 3)
+    assert scan.failures == [(1.0, "failure inside a bracket")]
+    assert [c.n for c in scan.crossings] == [2]
+    assert abs(scan.eigenvalues[0] - 2.0) < 1e-7
+
+
+def singular_at_root(w):
+    # one root at a plaquette centre of the 8x8 web over (0, 7, 0, 7): the
+    # grid evaluates, but the secant seeded at the charge does not
+    if abs(w - (3.5 + 3.5j)) < 0.25:
+        raise s.SingularSurface(f"resonance at {w}")
+    return w - (3.5 + 3.5j)
+
+
+def test_dispersion_scan_refine_failure_is_a_gap():
+    points = s.dispersion_scan(lambda k: singular_at_root, [1.0], (0, 7, 0, 7), 8, 8)
+    assert points == [s.DispersionPoint(k=1.0, omega=None, method="web")]

@@ -179,11 +179,10 @@ def test_phi_approach_oscillator_asymptotic_rebuild():
 
 
 def test_morse_phi_winding_at_eigenvalue(morse_problem):
-    low, high, result = s.solve_asymptotic(morse_problem, 18.75, Approach.PHI)
-    assert result.kind is s.QuantizationKind.PHI_WINDING
+    low, high, value = s.solve_asymptotic(morse_problem, 18.75, Approach.PHI)
     # bound state n = 2 shows up as winding 3 (offset convention n+1)
-    assert abs(result.value.real - 3.0) < 1e-3
-    assert abs(result.value.imag) < 1e-6
+    assert abs(value.real - 3.0) < 1e-3
+    assert abs(value.imag) < 1e-6
 
 
 def test_morse_g_difference_at_eigenvalue(morse_problem):
@@ -196,6 +195,17 @@ def test_quantization_requires_asymptotic_ends(morse_problem, paine_problem):
     low, high, _ = s.solve_asymptotic(morse_problem, 12.0, Approach.PHI)
     with pytest.raises(s.NotAsymptotic):
         s.quantization(low, high, Approach.PHI, paine_problem)
+
+
+def test_stalled_leg_raises_step_failure(morse_problem):
+    # a leg that stops before its cut or decay event carries no asymptotic
+    # value, so the quantization must not be read from it
+    tol = s.Tolerances(max_steps=3)
+    for approach in (Approach.PHI, Approach.G):
+        with pytest.raises(s.StepFailure):
+            s.solve_asymptotic(morse_problem, 18.75, approach, tol)
+    with pytest.raises(s.StepFailure):
+        s.phi_winding_value(morse_problem, 18.75, tol)
 
 
 def test_decay_event_reaches_threshold(morse_problem):
@@ -277,7 +287,7 @@ def test_harmonic_ground_state_matches_gaussian(harmonic_problem):
         harmonic_problem, e0, Approach.PHI, tol, store_path=True
     )
     c = s.solve_constant_from_bc(low.y_end, INF, Approach.PHI)
-    samples = s.eigenfunction_bidirectional(low, high, c, Approach.PHI)
+    samples = s.eigenfunction(*s.merge_legs(low, high), c, Approach.PHI)
     mask = np.abs(samples.xs) <= 3.0
     f = samples.f[mask]
     f = f / f[np.argmax(np.abs(f))]
@@ -291,7 +301,7 @@ def test_morse_non_eigenvalue_diverges(morse_problem):
         morse_problem, 17.5, Approach.PHI, tol, store_path=True
     )
     c = s.solve_constant_from_bc(low.y_end, INF, Approach.PHI) + 0.5
-    samples = s.eigenfunction_bidirectional(low, high, c, Approach.PHI)
+    samples = s.eigenfunction(*s.merge_legs(low, high), c, Approach.PHI)
     f = np.abs(samples.f)
     well = f[(samples.xs > -0.3) & (samples.xs < 1.5)]
     assert f[0] > 100 * np.median(well)
