@@ -23,8 +23,6 @@ from .integrate import (
     Tolerances,
     Trajectory,
     integrate,
-    integrate_bidirectional,
-    integrate_checkpoints,
     merge_legs,
 )
 from .minimalist import (
@@ -32,8 +30,6 @@ from .minimalist import (
     PhiSubstitution,
     ZeroGauge,
     phase_system,
-    phi_rhs,
-    riccati_rhs,
     riccati_system,
     solve_finite_interval,
 )
@@ -51,11 +47,8 @@ from .schwarzian import (
     eigenfunction,
     g_difference_value,
     g_system,
-    g_system_rhs,
     phi_system,
-    phi_system_rhs,
     phi_winding_value,
-    quantization,
     reconstruct_F,
     schwarzian_derivative,
     solve_asymptotic,

@@ -9,11 +9,11 @@ Stopping semantics:
 
 * ``ReachedEnd``   -- the target abscissa was reached.
 * ``EventFired``   -- a user predicate became true at an accepted step.
-* ``StepFailure``  -- the step size underflowed ``min_step`` (typically
-  while fighting a pole of the right-hand side) or the step budget ran
-  out; the last accepted state is returned, never NaN.  Callers that read
-  the terminal state turn this into a ``StepFailure`` error through
-  ``raise_if_stalled``.
+* ``StepFailure``  -- the proposed step size fell below ``min_step`` or
+  was NaN (typically while fighting a pole of the right-hand side), or
+  the step budget ran out; the last accepted state is returned, never
+  NaN.  Callers that read the terminal state turn this into a
+  ``StepFailure`` error through ``raise_if_stalled``.
 """
 
 from __future__ import annotations
@@ -77,16 +77,13 @@ class Trajectory:
     """Accepted-step samples of one integration leg.
 
     ``xs`` is strictly monotone in the direction of integration and
-    ``ys[k]`` is the state at ``xs[k]``; ``error_estimate`` accumulates the
-    magnitudes of the local error estimates of the accepted steps (a crude
-    but usable bound on the global error).
+    ``ys[k]`` is the state at ``xs[k]``.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     terminal: tuple[float, ComplexVector]
     stop_reason: StopReason
-    error_estimate: np.ndarray
 
     @property
     def x_end(self) -> float:
@@ -162,7 +159,7 @@ def _initial_step(
         d2 = 0.0
     d_max = max(d1, d2)
     h1 = (0.01 / d_max) ** 0.2 if d_max > 1e-15 else max(1e-6 * span, h0 * 1e3)
-    return min(100.0 * h0, h1, span)
+    return min(100.0 * h0, h1)
 
 
 def integrate(
@@ -200,7 +197,6 @@ def integrate(
 
     xs = [x0]
     ys = [y]
-    err_acc = [0.0] * n
     x = x0
     fac_old = 1e-4
     reason = StopReason.STEP_FAILURE
@@ -209,6 +205,10 @@ def integrate(
     steps = 0
     while steps < tol.max_steps:
         steps += 1
+        # The controller's proposal, before the clamp to the remaining span;
+        # the negated test also stops on a NaN step.
+        if not h >= tol.min_step:
+            break
         remaining = abs(x1 - x)
         last = h >= remaining
         if last:
@@ -279,9 +279,6 @@ def integrate(
 
         if bad:
             h *= 0.1
-            if h < tol.min_step:
-                reason = StopReason.STEP_FAILURE
-                break
             continue
 
         err_norm = _rms(
@@ -298,8 +295,6 @@ def integrate(
             if store_path:
                 xs.append(x)
                 ys.append(y)
-            for i in indices:
-                err_acc[i] += abs(err[i])
             if event is not None and event(x, y):
                 reason = StopReason.EVENT_FIRED
                 break
@@ -314,9 +309,6 @@ def integrate(
         else:
             fac11 = err_norm**_EXPO
             h = h / min(1.0 / _MIN_FACTOR, fac11 / _SAFETY)
-            if h < tol.min_step:
-                reason = StopReason.STEP_FAILURE
-                break
 
     if not store_path:
         xs = [x0, x] if x != x0 else [x0]
@@ -326,31 +318,7 @@ def integrate(
         ys=np.asarray(ys, dtype=complex),
         terminal=(x, y),
         stop_reason=reason,
-        error_estimate=np.asarray(err_acc, dtype=float),
     )
-
-
-def integrate_bidirectional(
-    sys: OdeSystem,
-    start: float,
-    cuts: tuple[float, float],
-    y0: Sequence[complex],
-    lam: complex = 0j,
-    tol: Tolerances = Tolerances(),
-    event: EventPredicate | None = None,
-    store_path: bool = True,
-) -> tuple[Trajectory, Trajectory]:
-    """Launch the same initial state from ``start`` toward both cuts.
-
-    Returns (toward cuts[0], toward cuts[1]); the terminal states carry the
-    asymptotic values used by the quantization conditions.
-    """
-    lo, hi = cuts
-    if not lo < start < hi:
-        raise ValueError(f"cuts {cuts} must straddle the start point {start}")
-    low = integrate(sys, start, lo, y0, lam, tol, event, store_path)
-    high = integrate(sys, start, hi, y0, lam, tol, event, store_path)
-    return low, high
 
 
 def raise_if_stalled(*legs: Trajectory) -> None:
@@ -373,27 +341,3 @@ def merge_legs(low: Trajectory, high: Trajectory) -> tuple[np.ndarray, np.ndarra
     xs = np.concatenate([low.xs[::-1], high.xs[1:]])
     ys = np.concatenate([low.ys[::-1], high.ys[1:]])
     return xs, ys
-
-
-def integrate_checkpoints(
-    sys: OdeSystem,
-    x0: float,
-    y0: Sequence[complex],
-    checkpoints: Sequence[float],
-    lam: complex = 0j,
-    tol: Tolerances = Tolerances(),
-) -> np.ndarray:
-    """Chain integration legs so the state is sampled exactly at the
-    requested abscissae (which must be strictly monotone away from x0)."""
-    states = []
-    x = x0
-    y: Sequence[complex] = tuple(complex(v) for v in y0)
-    for target in checkpoints:
-        if target == x:
-            states.append(tuple(y))
-            continue
-        leg = integrate(sys, x, target, y, lam, tol, store_path=False)
-        raise_if_stalled(leg)
-        x, y = leg.terminal
-        states.append(tuple(y))
-    return np.asarray(states, dtype=complex)

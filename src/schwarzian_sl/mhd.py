@@ -377,7 +377,8 @@ def jet_trajectories(
 
     The state is continuous across interfaces (single integration with
     piecewise coefficients).  A launch sitting exactly on an interface is
-    nudged one part in 10^9 to the matching side of each leg.
+    nudged one part in 10^9 to the matching side of each leg.  A leg that
+    stalls before its cut raises StepFailure.
     """
     if launch is None:
         launch = DEFAULT_PHI_LAUNCH if approach is Approach.PHI else DEFAULT_G_LAUNCH
@@ -388,6 +389,7 @@ def jet_trajectories(
         sys, start_in, cuts[0], launch, omega, tol, store_path=store_path
     )
     outward = integrate(sys, start, cuts[1], launch, omega, tol, store_path=store_path)
+    raise_if_stalled(inward, outward)
     return inward, outward
 
 
@@ -409,7 +411,7 @@ class JetQuantizationFunction:
 
         g approach: g1(outer cut) - g1(inner cut); Phi approach:
         sin((Phi1(outer) - Phi1(inner))/2).  Roots in omega are the
-        eigenvalues.  A leg that stalls before its cut raises StepFailure.
+        eigenvalues.
         """
         inward, outward = jet_trajectories(
             self.model.equilibrium(),
@@ -423,7 +425,6 @@ class JetQuantizationFunction:
             tol=Tolerances(rel=self.rel_tol, abs=self.abs_tol),
             store_path=False,
         )
-        raise_if_stalled(inward, outward)
         value = outward.y_end[2] - inward.y_end[2]
         if self.approach is Approach.PHI:
             return cmath.sin(value / 2.0)

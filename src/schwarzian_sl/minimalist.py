@@ -93,27 +93,19 @@ def scaled_gauge(problem: SLProblem, lam: complex) -> PhiSubstitution:
     return PhiSubstitution(F1=_zero, F2=f2, F1_prime=_zero, F2_prime=_zero)
 
 
-def riccati_rhs(problem: SLProblem, x: float, F: complex, lam: complex) -> complex:
-    """F' = -F^2/p - q."""
-    c = problem.coefficients
-    p = c.p_checked(x, lam)
-    return -F * F / p - c.q(x, lam)
-
-
 def riccati_system(problem: SLProblem) -> OdeSystem:
+    """F' = -F^2/p - q."""
+    p_checked = problem.coefficients.p_checked
+    q = problem.coefficients.q
+
     def rhs(x: float, y: tuple[complex, ...], lam: complex) -> tuple[complex]:
-        return (riccati_rhs(problem, x, y[0], lam),)
+        F = y[0]
+        return (-F * F / p_checked(x, lam) - q(x, lam),)
 
     return OdeSystem(dimension=1, rhs=rhs)
 
 
-def phi_rhs(
-    problem: SLProblem,
-    sub: PhiSubstitution,
-    x: float,
-    phi: complex,
-    lam: complex,
-) -> complex:
+def phase_system(problem: SLProblem, sub: PhiSubstitution = DEFAULT_GAUGE) -> OdeSystem:
     """Phase equation for the substituted variable:
 
     Phi' = (2 F1 F2 + p F2')/(p F2) sin(Phi)
@@ -122,21 +114,21 @@ def phi_rhs(
 
     which passes smoothly through the points where f = 0.
     """
-    c = problem.coefficients
-    p = c.p_checked(x, lam)
-    q = c.q(x, lam)
-    f1, f2, d1, d2 = sub.values(x)
-    pf2 = p * f2
-    base = p * q + p * d1 + f1 * f1
-    a = (2.0 * f1 * f2 + p * d2) / pf2
-    b = (base - f2 * f2) / pf2
-    const = (base + f2 * f2) / pf2
-    return a * cmath.sin(phi) - b * cmath.cos(phi) + const
+    p_checked = problem.coefficients.p_checked
+    q_fn = problem.coefficients.q
+    values = sub.values
 
-
-def phase_system(problem: SLProblem, sub: PhiSubstitution = DEFAULT_GAUGE) -> OdeSystem:
     def rhs(x: float, y: tuple[complex, ...], lam: complex) -> tuple[complex]:
-        return (phi_rhs(problem, sub, x, y[0], lam),)
+        p = p_checked(x, lam)
+        q = q_fn(x, lam)
+        f1, f2, d1, d2 = values(x)
+        pf2 = p * f2
+        base = p * q + p * d1 + f1 * f1
+        a = (2.0 * f1 * f2 + p * d2) / pf2
+        b = (base - f2 * f2) / pf2
+        const = (base + f2 * f2) / pf2
+        phi = y[0]
+        return (a * cmath.sin(phi) - b * cmath.cos(phi) + const,)
 
     return OdeSystem(dimension=1, rhs=rhs)
 

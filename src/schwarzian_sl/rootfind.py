@@ -152,22 +152,12 @@ class SpectralWeb:
         plaquette windings.  Requires a failure-free boundary.
         """
         psi = self.psi
-        path = (
-            [psi[i, 0] for i in range(self.nx)]
-            + [psi[self.nx - 1, j] for j in range(1, self.ny)]
-            + [psi[i, self.ny - 1] for i in range(self.nx - 2, -1, -1)]
-            + [psi[0, j] for j in range(self.ny - 2, -1, -1)]
-        )
-        if any(math.isnan(v) for v in path):
+        path = np.concatenate(
+            [psi[:, 0], psi[-1, 1:], psi[-2::-1, -1], psi[0, -2::-1]]
+        )  # closed: ends on psi[0, 0]
+        if np.isnan(path).any():
             raise ValueError("web boundary contains failed samples")
-        total = 0.0
-        for a, b in zip(path, path[1:] + path[:1]):
-            total += _wrap(b - a)
-        return round(total / _TWO_PI)
-
-
-def _wrap(d: float) -> float:
-    return (d + math.pi) % _TWO_PI - math.pi
+        return round(float(_wrap_array(np.diff(path)).sum()) / _TWO_PI)
 
 
 def _eval_samples(

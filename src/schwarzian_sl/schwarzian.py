@@ -33,13 +33,7 @@ from .core import (
     default_fd_step,
     kappa_squared,
 )
-from .integrate import (
-    OdeSystem,
-    Tolerances,
-    Trajectory,
-    integrate_bidirectional,
-    raise_if_stalled,
-)
+from .integrate import OdeSystem, Tolerances, Trajectory, integrate, raise_if_stalled
 
 _SINGULAR_TOL = 1e-12
 DEFAULT_DECAY = 1e-8  # |F2| (or e^{-2 Lam}) fraction of launch value that
@@ -88,42 +82,28 @@ class SampledFunction:
     F: np.ndarray
 
 
-def g_system_rhs(
-    problem: SLProblem, x: float, s: Sequence[complex], lam: complex
-) -> GState:
-    c = problem.coefficients
-    p = c.p_checked(x, lam)
-    f_p, lam_var, _g = s
-    return GState(
-        -f_p * f_p / p - c.q(x, lam),
-        f_p / p,
-        cmath.exp(-2.0 * lam_var) / p,
-    )
-
-
-def phi_system_rhs(
-    problem: SLProblem, x: float, s: Sequence[complex], lam: complex
-) -> PhiState:
-    c = problem.coefficients
-    p = c.p_checked(x, lam)
-    f1, f2, _phi = s
-    return PhiState(
-        (f2 * f2 - f1 * f1) / p - c.q(x, lam),
-        -2.0 * f1 * f2 / p,
-        2.0 * f2 / p,
-    )
-
-
 def g_system(problem: SLProblem) -> OdeSystem:
-    def rhs(x: float, y: tuple[complex, ...], lam: complex) -> GState:
-        return g_system_rhs(problem, x, y, lam)
+    """F_p' = -F_p^2/p - q, Lam' = F_p/p, g' = e^{-2 Lam}/p."""
+    p_checked = problem.coefficients.p_checked
+    q = problem.coefficients.q
+
+    def rhs(x: float, y: tuple[complex, ...], lam: complex) -> tuple[complex, ...]:
+        p = p_checked(x, lam)
+        f_p = y[0]
+        return (-f_p * f_p / p - q(x, lam), f_p / p, cmath.exp(-2.0 * y[1]) / p)
 
     return OdeSystem(dimension=3, rhs=rhs)
 
 
 def phi_system(problem: SLProblem) -> OdeSystem:
-    def rhs(x: float, y: tuple[complex, ...], lam: complex) -> PhiState:
-        return phi_system_rhs(problem, x, y, lam)
+    """F1' = (F2^2 - F1^2)/p - q, F2' = -2 F1 F2/p, Phi' = 2 F2/p."""
+    p_checked = problem.coefficients.p_checked
+    q = problem.coefficients.q
+
+    def rhs(x: float, y: tuple[complex, ...], lam: complex) -> tuple[complex, ...]:
+        p = p_checked(x, lam)
+        f1, f2 = y[0], y[1]
+        return ((f2 * f2 - f1 * f1) / p - q(x, lam), -2.0 * f1 * f2 / p, 2.0 * f2 / p)
 
     return OdeSystem(dimension=3, rhs=rhs)
 
@@ -209,29 +189,6 @@ def reconstruct_F(
     return f1 + f2 * c / s
 
 
-def quantization(
-    traj_low: Trajectory,
-    traj_high: Trajectory,
-    approach: Approach,
-    problem: SLProblem | None = None,
-) -> complex:
-    """Single asymptotic eigenvalue condition from the two terminal states.
-
-    g approach: value = g|high - g|low, eigenvalues at value = 0.
-    Phi approach: value = (Phi|high - Phi|low)/2pi, eigenvalues at integers.
-    """
-    if problem is not None:
-        for which, spec in enumerate(problem.boundaries):
-            if spec.kind is not BoundaryKind.QUANTIZATION:
-                end = problem.domain.lower if which == 0 else problem.domain.upper
-                raise NotAsymptotic(f"end x={end} carries no Quantization spec")
-    low = traj_low.y_end[2]
-    high = traj_high.y_end[2]
-    if approach is Approach.G:
-        return high - low
-    return (high - low) / (2.0 * math.pi)
-
-
 def decay_event(approach: Approach, launch: Sequence[complex], decay: float):
     """Predicate that fires once the split has frozen asymptotically.
 
@@ -265,12 +222,24 @@ def solve_asymptotic(
 ) -> tuple[Trajectory, Trajectory, complex]:
     """Launch from the start point toward both cuts and quantize.
 
-    When an integration direction hits the decay event early the terminal
-    values are frozen and stand in for the asymptotic ones (the functions
-    no longer vary significantly there).  A leg that stalls before its cut
-    or event raises StepFailure: its last state is not asymptotic.
+    Returns (toward the lower cut, toward the upper cut, value) with the
+    single asymptotic eigenvalue condition read from the terminal states:
+    g approach: value = g|high - g|low, eigenvalues at value = 0.
+    Phi approach: value = (Phi|high - Phi|low)/2pi, eigenvalues at integers.
+
+    Both ends must carry a Quantization spec (else NotAsymptotic).  When an
+    integration direction hits the decay event early the terminal values
+    are frozen and stand in for the asymptotic ones (the functions no
+    longer vary significantly there).  A leg that stalls before its cut or
+    event raises StepFailure: its last state is not asymptotic.
     """
     d = problem.domain
+    for which, spec in enumerate(problem.boundaries):
+        if spec.kind is not BoundaryKind.QUANTIZATION:
+            end = d.lower if which == 0 else d.upper
+            raise NotAsymptotic(f"end x={end} carries no Quantization spec")
+    if not d.lower_cut < d.start < d.upper_cut:
+        raise ValueError(f"start {d.start} must lie between the cuts")
     if launch is None:
         if approach is Approach.PHI:
             launch = default_initial_state(problem, d.start, lam)
@@ -278,18 +247,12 @@ def solve_asymptotic(
             launch = default_g_initial_state(problem, d.start, lam)
     event = decay_event(approach, launch, decay) if decay else None
     sys = phi_system(problem) if approach is Approach.PHI else g_system(problem)
-    low, high = integrate_bidirectional(
-        sys,
-        d.start,
-        (d.lower_cut, d.upper_cut),
-        launch,
-        lam,
-        tol,
-        event,
-        store_path,
-    )
-    value = quantization(low, high, approach, problem)
+    low = integrate(sys, d.start, d.lower_cut, launch, lam, tol, event, store_path)
+    high = integrate(sys, d.start, d.upper_cut, launch, lam, tol, event, store_path)
     raise_if_stalled(low, high)
+    value = high.y_end[2] - low.y_end[2]
+    if approach is Approach.PHI:
+        value /= 2.0 * math.pi
     return low, high, value
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import schwarzian_sl as s
+from schwarzian_sl.integrate import raise_if_stalled
 
 # Reference eigenvalues of the finite-interval test problem: the converged
 # spectrum of a scaled-Pruefer shooting run with scipy DOP853 at
@@ -88,3 +89,19 @@ def assert_close(a, b, tol, label=""):
     a = complex(a)
     b = complex(b)
     assert abs(a - b) <= tol, f"{label}: {a} vs {b} (|diff|={abs(a - b):.3g} > {tol:.3g})"
+
+
+def integrate_checkpoints(sys, x0, y0, checkpoints, lam=0j, tol=s.Tolerances()):
+    """Chain integration legs so the state is sampled exactly at the
+    requested abscissae (which must be strictly monotone away from x0).
+    A leg that stalls before its checkpoint raises StepFailure."""
+    states = []
+    x = x0
+    y = tuple(complex(v) for v in y0)
+    for target in checkpoints:
+        if target != x:
+            leg = s.integrate(sys, x, target, y, lam, tol, store_path=False)
+            raise_if_stalled(leg)
+            x, y = leg.terminal
+        states.append(y)
+    return np.asarray(states, dtype=complex)

@@ -22,6 +22,7 @@ from conftest import (
     PAINE_ERRATUM,
     PAINE_ORACLE,
     PAINE_PUBLISHED_TEXT,
+    integrate_checkpoints,
     printed_unit,
 )
 
@@ -333,11 +334,11 @@ def test_criterion_8_property_suite(morse_problem, cohn_model):
     checks = [0.8, 1.2, 1.6, 2.0]
     launch = s.default_g_initial_state(morse_problem, 0.0, 18.75)
     gsys = s.g_system(morse_problem)
-    g_states = s.integrate_checkpoints(gsys, 0.0, launch, checks, 18.75, tol)
+    g_states = integrate_checkpoints(gsys, 0.0, launch, checks, 18.75, tol)
     far = s.integrate(gsys, 0.0, 15.0, launch, 18.75, tol, store_path=False)
     const = s.solve_constant_from_bc(far.y_end, complex(float("inf"), 0.0), Approach.G)
     f_schw = [s.reconstruct_F(tuple(st), const, Approach.G) for st in g_states]
-    f_ric = s.integrate_checkpoints(
+    f_ric = integrate_checkpoints(
         s.riccati_system(morse_problem), checks[0], (f_schw[0],), checks[1:], 18.75, tol
     )
     for i, x in enumerate(checks[1:]):
@@ -353,10 +354,10 @@ def test_criterion_8_property_suite(morse_problem, cohn_model):
     c2c1 = 1.0 + 0j
     inv_y0 = 0j - cmath.exp(0j) / (0j + c2c1)
     y_checks = [1.5, 2.0, 3.0, 4.0]
-    g_states = s.integrate_checkpoints(
+    g_states = integrate_checkpoints(
         s.y1_system(eq, 0, k, Approach.G), 1.0, (0j, 0j, 0j), y_checks, omega, tol
     )
-    y_states = s.integrate_checkpoints(
+    y_states = integrate_checkpoints(
         s.y_riccati_system(eq, 0, k), 1.0, (1.0 / inv_y0,), y_checks, omega, tol
     )
     for i, r in enumerate(y_checks):

@@ -1,5 +1,5 @@
-"""Every package name the demos use must resolve (the demos themselves are
-too slow for the test run)."""
+"""Every package name the demos and the benchmark scripts use must resolve
+(running them is too slow for the test run; the scripts are only read)."""
 
 import ast
 import importlib
@@ -7,8 +7,27 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PACKAGE = "schwarzian_sl"
+
+
+def imports_package(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == PACKAGE for name in names):
+            return True
+    return False
+
+
+BENCH_SCRIPTS = [
+    p for p in sorted((ROOT / "perfbench").glob("*.py")) if imports_package(p)
+]
 
 
 def package_names(tree: ast.Module) -> list[tuple[str, str]]:
@@ -36,17 +55,27 @@ def package_names(tree: ast.Module) -> list[tuple[str, str]]:
     return used
 
 
+def resolves(module: str, name: str) -> bool:
+    """``name`` is an attribute of ``module`` or one of its submodules."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
 def test_demos_found():
     assert len(DEMOS) >= 6
+    assert len(BENCH_SCRIPTS) >= 3
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", DEMOS + BENCH_SCRIPTS, ids=lambda p: p.name)
 def test_demo_names_resolve(path):
     used = package_names(ast.parse(path.read_text(), filename=str(path)))
     assert used, f"{path.name} uses nothing from {PACKAGE}"
     missing = [
-        f"{module}.{name}"
-        for module, name in used
-        if not hasattr(importlib.import_module(module), name)
+        f"{module}.{name}" for module, name in used if not resolves(module, name)
     ]
     assert not missing, f"{path.name}: {missing}"

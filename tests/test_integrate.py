@@ -6,6 +6,9 @@ import pytest
 
 import schwarzian_sl as s
 from schwarzian_sl.integrate import StopReason
+from schwarzian_sl.schwarzian import Approach
+
+from conftest import integrate_checkpoints
 
 
 def oscillator_system():
@@ -37,25 +40,34 @@ def test_backward_integration():
     assert np.all(np.diff(tr.xs) < 0)
 
 
+def fixed_point_problem(lower_cut, upper_cut):
+    # p = 1, q = -1: the Phi state (1, 0, Phi) is a fixed point
+    return s.SLProblem(
+        coefficients=s.Coefficients(p=lambda x, e: 1 + 0j, q=lambda x, e: -1 + 0j),
+        domain=s.Domain(-math.inf, math.inf, 0.0, lower_cut, upper_cut),
+        boundaries=(s.BoundarySpec.quantization(), s.BoundarySpec.quantization()),
+    )
+
+
 def test_bidirectional_trivial():
-    sys = s.OdeSystem(2, lambda x, y, lam: (0j, 0j))
-    y0 = (1 + 2j, -3j)
-    low, high = s.integrate_bidirectional(sys, 0.0, (-2.0, 5.0), y0)
+    y0 = (1 + 0j, 0j, 2 - 3j)
+    low, high, value = s.solve_asymptotic(
+        fixed_point_problem(-2.0, 5.0), 0j, Approach.PHI, launch=y0
+    )
     assert low.terminal == (-2.0, y0)
     assert high.terminal == (5.0, y0)
+    assert value == 0
 
 
 def test_bidirectional_requires_straddle():
-    sys = s.OdeSystem(1, lambda x, y, lam: (0j,))
     with pytest.raises(ValueError):
-        s.integrate_bidirectional(sys, 0.0, (1.0, 5.0), (0j,))
+        s.solve_asymptotic(
+            fixed_point_problem(1.0, 5.0), 0j, Approach.PHI, launch=(1 + 0j, 0j, 0j)
+        )
 
 
 def test_morse_phi_legs_reach_or_fire(morse_problem):
-    launch = s.default_initial_state(morse_problem, 0.0, 18.75)
-    low, high = s.integrate_bidirectional(
-        s.phi_system(morse_problem), 0.0, (-7.0, 15.0), launch, 18.75
-    )
+    low, high, _ = s.solve_asymptotic(morse_problem, 18.75, Approach.PHI, decay=0.0)
     for tr in (low, high):
         assert tr.stop_reason in (StopReason.REACHED_END, StopReason.EVENT_FIRED)
 
@@ -101,13 +113,14 @@ def test_deterministic_bitwise(morse_problem):
 
 
 def test_tolerance_halving_self_consistency():
+    # y' = i y has y(10) = exp(10i); halving the tolerances must cut the error
     sys = s.OdeSystem(1, lambda x, y, lam: (1j * y[0],))
+    exact = cmath.exp(10j)
     coarse_tol = s.Tolerances(rel=1e-6, abs=1e-8)
     fine_tol = s.Tolerances(rel=5e-7, abs=5e-9)
     coarse = s.integrate(sys, 0.0, 10.0, (1 + 0j,), tol=coarse_tol)
     fine = s.integrate(sys, 0.0, 10.0, (1 + 0j,), tol=fine_tol)
-    change = abs(fine.y_end[0] - coarse.y_end[0])
-    assert change < coarse.error_estimate[0]
+    assert abs(fine.y_end[0] - exact) < abs(coarse.y_end[0] - exact)
 
 
 def test_blowup_gives_step_failure_not_nan():
@@ -138,7 +151,7 @@ def test_max_steps_exhaustion():
 
 def test_checkpoints_match_direct_run():
     sys = s.OdeSystem(1, lambda x, y, lam: (1j * y[0],))
-    states = s.integrate_checkpoints(sys, 0.0, (1 + 0j,), [0.5, 1.0, 2.0])
+    states = integrate_checkpoints(sys, 0.0, (1 + 0j,), [0.5, 1.0, 2.0])
     direct = s.integrate(sys, 0.0, 2.0, (1 + 0j,))
     assert abs(states[-1][0] - direct.y_end[0]) < 1e-9
     assert abs(states[0][0] - cmath.exp(0.5j)) < 1e-9
@@ -154,4 +167,31 @@ def test_checkpoints_stall_raises_step_failure():
     sys = s.OdeSystem(1, lambda x, y, lam: (1j * y[0],))
     tol = s.Tolerances(max_steps=3)
     with pytest.raises(s.StepFailure):
-        s.integrate_checkpoints(sys, 0.0, (1 + 0j,), [50.0, 100.0], tol=tol)
+        integrate_checkpoints(sys, 0.0, (1 + 0j,), [50.0, 100.0], tol=tol)
+
+
+def test_accepted_steps_keep_the_step_floor(cohn_model):
+    # at this real omega the outward leg meets a pole of Y4 near r = 9.71;
+    # accepted steps that shrink h below min_step must stop the leg there,
+    # not pile up zero-length steps
+    sys = s.y1_system(cohn_model.equilibrium(), 0, math.pi, Approach.G)
+    tr = s.integrate(sys, 1.0, 10.0, (0j, 0j, 0j), 3.891592653589793 + 0j)
+    assert tr.stop_reason is StopReason.STEP_FAILURE
+    assert np.all(np.diff(tr.xs) > 0)
+    assert 9.7 < tr.x_end < 10.0
+
+
+def test_nan_initial_step_stops_at_once():
+    # tolerances of 1e-300 overflow the scaled norms and give a NaN step
+    calls = 0
+
+    def rhs(x, y, lam):
+        nonlocal calls
+        calls += 1
+        return (1j * y[0],)
+
+    tol = s.Tolerances(rel=1e-300, abs=1e-300)
+    tr = s.integrate(s.OdeSystem(1, rhs), 0.0, 1.0, (1 + 0j,), tol=tol)
+    assert tr.stop_reason is StopReason.STEP_FAILURE
+    assert calls <= 100
+    assert tr.terminal == (0.0, (1 + 0j,))

@@ -256,6 +256,16 @@ def test_cli_eigenfunction_morse(tmp_path):
     assert "Re f" in names
 
 
+def test_cli_eigenfunction_stalled_leg_is_numerical_failure(tmp_path):
+    # at this real omega the outward leg stalls at a pole of Y4 near r = 9.71,
+    # so there is no eigenfunction out to the cut to write
+    out = tmp_path / "y.csv"
+    code = main(["eigenfunction", "--problem", "cohn", "--eigenvalue",
+                 "3.891592653589793", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+
+
 def test_cli_config_file_defaults_and_flag_override(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"range": "0,3", "samples": 30}))

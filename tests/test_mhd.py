@@ -10,7 +10,7 @@ from schwarzian_sl import mhd
 from schwarzian_sl.mhd import _ratios
 from schwarzian_sl.schwarzian import Approach
 
-from conftest import assert_close
+from conftest import assert_close, integrate_checkpoints
 
 K = math.pi
 OMEGA = 3.0 + 2.0j
@@ -182,7 +182,7 @@ def test_near_axis_m0_log_behavior(eq):
     # Y4 ~ -b21 ln r and Phi1 - Phi1_axis ~ C0 r^2 near the axis
     tol = s.Tolerances(rel=1e-10, abs=1e-12)
     sysphi = s.y1_system(eq, 0, K, Approach.PHI)
-    states = s.integrate_checkpoints(
+    states = integrate_checkpoints(
         sysphi, 0.9, (0j, 1 + 0j, 0j), [1e-3, 5e-4, 2.5e-4], OMEGA, tol
     )
     limits = s.axis_limits(eq, 0, K, OMEGA)
@@ -203,7 +203,7 @@ def test_near_axis_m_nonzero_attractor(eq):
     limits = s.axis_limits(eq, m, K, OMEGA)
     d11, d12 = limits.values["d11"], limits.values["d12"]
     sysphi = s.y1_system(eq, m, K, Approach.PHI)
-    states = s.integrate_checkpoints(
+    states = integrate_checkpoints(
         sysphi, 0.9, (0j, 1 + 0j, 0j), [1e-3, 1e-4], OMEGA, tol
     )
     expected = (abs(m) - d11) / d12
@@ -303,11 +303,11 @@ def test_y_riccati_matches_schwarzian_reconstruction(eq):
     def inv_y(state):
         return state[0] - cmath.exp(-2 * state[1]) / (state[2] + c)
 
-    g_states = s.integrate_checkpoints(
+    g_states = integrate_checkpoints(
         s.y1_system(eq, 0, K, Approach.G), 1.0, (0j, 0j, 0j), checks, OMEGA, tol
     )
     y0 = 1.0 / inv_y((0j, 0j, 0j))
-    y_states = s.integrate_checkpoints(
+    y_states = integrate_checkpoints(
         s.y_riccati_system(eq, 0, K), 1.0, (y0,), checks, OMEGA, tol
     )
     for i in range(len(checks)):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import schwarzian_sl as s
-from schwarzian_sl.minimalist import DEFAULT_GAUGE, PhiSubstitution, phi_rhs, riccati_rhs
+from schwarzian_sl.minimalist import DEFAULT_GAUGE, PhiSubstitution
 
 from conftest import PAINE_ORACLE, assert_close
 
@@ -16,6 +16,14 @@ def const_problem(p=1 + 0j, q=1 + 0j):
         domain=s.Domain(0.0, math.pi, start=1.0, lower_cut=0.0, upper_cut=math.pi),
         boundaries=(s.BoundarySpec.ratio(float("inf")), s.BoundarySpec.ratio(float("inf"))),
     )
+
+
+def riccati_rhs(problem, x, F, lam):
+    return s.riccati_system(problem).rhs(x, (F,), lam)[0]
+
+
+def phi_rhs(problem, sub, x, phi, lam):
+    return s.phase_system(problem, sub).rhs(x, (phi,), lam)[0]
 
 
 def test_riccati_rhs_values():

@@ -7,7 +7,7 @@ import pytest
 import schwarzian_sl as s
 from schwarzian_sl.schwarzian import Approach, branch_tracked_sqrt, decay_event
 
-from conftest import assert_close
+from conftest import assert_close, integrate_checkpoints
 
 INF = complex(float("inf"), 0.0)
 
@@ -36,7 +36,7 @@ def test_g_system_rhs_matches_oscillator_particular_solution():
         cmath.log(cmath.cos(k * x)),
         cmath.tan(k * x) / k,
     )
-    d = s.g_system_rhs(problem, x, state, 0j)
+    d = s.g_system(problem).rhs(x, state, 0j)
     sec2 = 1.0 / cmath.cos(k * x) ** 2
     assert_close(d[0], -k * k * sec2, 1e-12, "F_p'")
     assert_close(d[1], -k * cmath.tan(k * x), 1e-12, "Lam'")
@@ -44,9 +44,9 @@ def test_g_system_rhs_matches_oscillator_particular_solution():
 
 
 def test_g_system_rhs_trivial_states():
-    d = s.g_system_rhs(const_q_problem(0j), 0.0, (0j, 0j, 0j), 0j)
+    d = s.g_system(const_q_problem(0j)).rhs(0.0, (0j, 0j, 0j), 0j)
     assert d == (0j, 0j, 1 + 0j)
-    d = s.g_system_rhs(const_q_problem(-1 + 0j), 0.0, (1 + 0j, 0j, 1 + 0j), 0j)
+    d = s.g_system(const_q_problem(-1 + 0j)).rhs(0.0, (1 + 0j, 0j, 1 + 0j), 0j)
     assert d == (0j, 1 + 0j, 1 + 0j)
 
 
@@ -55,18 +55,18 @@ def test_g_system_rhs_trivial_states():
 
 def test_phi_system_rhs_constant_amplitude():
     k = 2.0
-    d = s.phi_system_rhs(const_q_problem(k * k + 0j), 0.0, (0j, k + 0j, 0j), 0j)
+    d = s.phi_system(const_q_problem(k * k + 0j)).rhs(0.0, (0j, k + 0j, 0j), 0j)
     assert d == (0j, 0j, 2 * k + 0j)
 
 
 def test_phi_system_rhs_decay_manifold_invariant(morse_problem):
-    d = s.phi_system_rhs(morse_problem, 1.3, (0.7 + 0.2j, 0j, 5 + 0j), 18.75)
+    d = s.phi_system(morse_problem).rhs(1.3, (0.7 + 0.2j, 0j, 5 + 0j), 18.75)
     assert d[1] == 0j
 
 
 def test_phi_system_rhs_morse_launch(morse_problem):
     f2 = math.sqrt(18.75)
-    d = s.phi_system_rhs(morse_problem, 0.0, (0j, f2 + 0j, 0j), 18.75)
+    d = s.phi_system(morse_problem).rhs(0.0, (0j, f2 + 0j, 0j), 18.75)
     assert_close(d[0], 0.0, 1e-12, "F1' = q - q")
     assert_close(d[1], 0.0, 1e-12, "F2'")
     assert_close(d[2], 2 * f2, 1e-12, "Phi'")
@@ -191,10 +191,10 @@ def test_morse_g_difference_at_eigenvalue(morse_problem):
     assert abs(value) < 1e-6 * scale
 
 
-def test_quantization_requires_asymptotic_ends(morse_problem, paine_problem):
-    low, high, _ = s.solve_asymptotic(morse_problem, 12.0, Approach.PHI)
-    with pytest.raises(s.NotAsymptotic):
-        s.quantization(low, high, Approach.PHI, paine_problem)
+def test_quantization_requires_asymptotic_ends(paine_problem):
+    for approach in (Approach.PHI, Approach.G):
+        with pytest.raises(s.NotAsymptotic):
+            s.solve_asymptotic(paine_problem, 12.0, approach)
 
 
 def test_stalled_leg_raises_step_failure(morse_problem):
@@ -223,7 +223,7 @@ def test_substitution_identity_riccati_residual(morse_problem):
         lam = complex(rng.uniform(1, 24))
         f1 = complex(rng.normal(), rng.normal())
         f2 = complex(rng.normal(), rng.normal())
-        d = s.phi_system_rhs(morse_problem, x, (f1, f2, 0j), lam)
+        d = s.phi_system(morse_problem).rhs(x, (f1, f2, 0j), lam)
         w = f1 + 1j * f2
         dw = d[0] + 1j * d[1]
         residual = dw + w * w + morse_problem.coefficients.q(x, lam)
@@ -246,8 +246,8 @@ def test_gauge_equivalence_after_constant_solving(morse_problem, tight_tol):
             psys, 0.0, -7.0, launch, 18.75, tight_tol, store_path=False
         )
         c = s.solve_constant_from_bc(t_lo.y_end, INF, Approach.PHI)
-        lo = s.integrate_checkpoints(psys, 0.0, launch, lo_chk, 18.75, tight_tol)
-        hi = s.integrate_checkpoints(psys, 0.0, launch, hi_chk, 18.75, tight_tol)
+        lo = integrate_checkpoints(psys, 0.0, launch, lo_chk, 18.75, tight_tol)
+        hi = integrate_checkpoints(psys, 0.0, launch, hi_chk, 18.75, tight_tol)
         return [s.reconstruct_F(tuple(t), c, Approach.PHI) for t in (*lo, *hi)]
 
     fa = rebuild(launches[0])
