@@ -1,7 +1,11 @@
 """Dispersion relation of the m = 0 jet mode by root continuation.
 
-The first wavenumber gets a full spectral web; afterwards each root seeds
-the next refinement.  Growth rate is Im omega (temporal approach: real k,
+The first wavenumber gets a full spectral web; afterwards each k is a
+predictor-corrector step: the last two roots extrapolate linearly to the
+seed, and the secant corrector starts from the slope the previous root
+converged with.  A root that lands farther from the prediction than the
+last step is a branch hop, and a web recentered on the last root decides
+that k instead.  Growth rate is Im omega (temporal approach: real k,
 complex omega).
 """
 

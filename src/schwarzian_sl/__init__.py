@@ -67,15 +67,12 @@ from .rootfind import (
     spectral_web,
 )
 from .mhd import (
-    AxisLimits,
     CohnJetModel,
     JetQuantizationFunction,
-    LimitNotConverged,
     MhdEquilibrium,
     ProfileSegment,
     SingularSurface,
     YSamples,
-    axis_limits,
     eigenfunctions_y,
     jet_trajectories,
     y1_g_system_rhs,

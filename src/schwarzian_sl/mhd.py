@@ -46,10 +46,6 @@ class SingularSurface(SchwarzianSLError):
     """A continuous-spectrum resonance denominator vanished."""
 
 
-class LimitNotConverged(SchwarzianSLError):
-    """Axis limits failed to extrapolate consistently."""
-
-
 @dataclass(frozen=True)
 class ProfileSegment:
     """One smooth piece of the equilibrium: constant profiles plus an
@@ -252,61 +248,6 @@ def y1_system(eq: MhdEquilibrium, m: int, k: float, approach: Approach) -> OdeSy
         return body(r, y, rf11, rf12, rf21)
 
     return OdeSystem(dimension=3, rhs=rhs)
-
-
-@dataclass(frozen=True)
-class AxisLimits:
-    """Extrapolated axis limits of the scaled ratios.
-
-    m != 0: values are d_ij = lim r F_ij/D with the identities
-    d22 = -d11 and d11^2 + d12 d21 = m^2; the acceptable on-axis branch is
-    1/Y = -(|m| + d11)/d12.
-
-    m == 0: values are the b_ij limits (b11 = lim F11/(rD) etc., but
-    b21 = lim r F21/D); the acceptable branch is 1/Y ~ -2/(b12 r^2).
-    """
-
-    m: int
-    values: dict[str, complex]
-    acceptable_inv_y: complex | None = None
-    inv_y_coefficient: complex | None = None
-
-
-def axis_limits(eq: MhdEquilibrium, m: int, k: float, omega: complex) -> AxisLimits:
-    r1, r2 = 1e-4, 5e-5
-    a1 = _ratios(eq, m, k, omega, r1)
-    a2 = _ratios(eq, m, k, omega, r2)
-
-    def richardson(i: int, scale1: float = 1.0, scale2: float = 1.0) -> complex:
-        v1 = a1[i] * scale1
-        v2 = a2[i] * scale2
-        limit = (4.0 * v2 - v1) / 3.0
-        if abs(v1 - v2) > 1e-4 * max(1.0, abs(limit)):
-            raise LimitNotConverged(
-                f"axis limit of ratio {i} not settled: {v1} vs {v2}"
-            )
-        return limit
-
-    if m != 0:
-        d11 = richardson(0)
-        d12 = richardson(1)
-        d21 = richardson(2)
-        values = {"d11": d11, "d12": d12, "d21": d21, "d22": -d11}
-        identity = d11 * d11 + d12 * d21
-        if abs(identity - m**2) > 1e-6 * max(1.0, abs(m) ** 2):
-            raise LimitNotConverged(
-                f"d11^2 + d12 d21 = {identity}, expected m^2 = {m ** 2}"
-            )
-        return AxisLimits(
-            m=m,
-            values=values,
-            acceptable_inv_y=-(abs(m) + d11) / d12,
-        )
-    b11 = richardson(0, 1.0 / r1**2, 1.0 / r2**2)
-    b12 = richardson(1, 1.0 / r1**2, 1.0 / r2**2)
-    b21 = richardson(2)
-    values = {"b11": b11, "b12": b12, "b21": b21, "b22": -b11}
-    return AxisLimits(m=0, values=values, inv_y_coefficient=-2.0 / b12)
 
 
 @dataclass(frozen=True)

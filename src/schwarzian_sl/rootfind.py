@@ -267,39 +267,59 @@ def _cluster_charges(
     return charges
 
 
+class SecantRoot(complex):
+    """A root from `refine_complex_root`: a ``complex`` that also carries the
+    final secant slope (the slope passed in, or None, when the seed was
+    already a root)."""
+
+    __slots__ = ("slope",)
+
+    def __new__(cls, value: complex, slope: complex | None):
+        root = super().__new__(cls, value)
+        root.slope = slope
+        return root
+
+    def __getnewargs__(self):  # complex's would give (real, imag)
+        return complex(self), self.slope
+
+
 def refine_complex_root(
     qf: QuantizationFunction,
     seed: complex,
     tol: float = 1e-10,
     max_iter: int = 50,
-) -> complex:
-    """Polish a web charge by secant iteration in the complex plane.
+    slope: complex | None = None,
+) -> SecantRoot:
+    """Polish a root estimate by secant iteration in the complex plane.
 
-    Converged when |qf| has dropped below tol relative to the seed residual
-    or the step underflows; raises NoConvergence (carrying the last iterate
-    and residual) after ``max_iter`` iterations.
+    The first step is a Newton step with ``slope`` (an estimate of qf' near
+    the root, such as the slope a neighbouring root converged with), or,
+    without one, a probe at a fixed small offset from the seed.  Every
+    later step is a secant step.  Converged when the next iterate w moves
+    by at most tol*|w|; that iterate is returned without evaluating qf
+    there, with the last secant slope.  Raises NoConvergence (carrying the
+    last iterate and residual) after ``max_iter`` further evaluations.
     """
-    w0 = complex(seed)
-    f0 = complex(qf(w0))
-    target = tol * max(abs(f0), 1e-300)
-    step_floor = 1e-10 * max(abs(seed), 1e-30)
-    if abs(f0) == 0.0:
-        return w0
-    w1 = w0 + 1e-4 * max(1.0, abs(seed)) * (1.0 + 0.5j)
-    f1 = complex(qf(w1))
+    w = complex(seed)
+    f = complex(qf(w))
+    if f == 0.0:
+        return SecantRoot(w, slope)
     for _ in range(max_iter):
-        if f1 == f0:
+        if not slope:
+            w_next = w + 1e-4 * max(1.0, abs(w)) * (1.0 + 0.5j)
+        else:
+            w_next = w - f / slope
+            if abs(w_next - w) <= tol * abs(w_next):
+                return SecantRoot(w_next, slope)
+        f_next = complex(qf(w_next))
+        if f_next == f:
             break
-        w2 = w1 - f1 * (w1 - w0) / (f1 - f0)
-        w0, f0 = w1, f1
-        w1 = w2
-        f1 = complex(qf(w1))
-        if abs(f1) < target or abs(w1 - w0) < step_floor:
-            return w1
+        slope = (f_next - f) / (w_next - w)
+        w, f = w_next, f_next
     raise NoConvergence(
-        f"secant did not converge from seed {seed}: residual {abs(f1)}",
-        last=w1,
-        residual=abs(f1),
+        f"secant did not converge from seed {seed}: residual {abs(f)}",
+        last=w,
+        residual=abs(f),
     )
 
 
@@ -321,34 +341,48 @@ def dispersion_scan(
 ) -> list[DispersionPoint]:
     """Track the most unstable root along a wavenumber grid.
 
-    The first grid point gets a full web over ``region``; afterwards the
-    previous root seeds a secant continuation, falling back to a fresh web
-    (recentered on the last root) when the continuation diverges.  Lost
-    roots are recorded as gaps rather than aborting the scan.
+    The first grid point gets a full web over ``region``.  Afterwards each
+    k is a predictor-corrector continuation step (Allgower and Georg,
+    *Introduction to Numerical Continuation Methods*, ch. 2): the seed is
+    the linear extrapolation of the last two roots found in a row, or the
+    last root when there is only one (after the first web, a gap or a
+    fallback web), and the secant corrector starts with a Newton step on
+    the slope the last root converged with.  A corrected root farther from
+    the prediction than the last continuation step has hopped to another
+    branch; that, and a corrector failure, fall back to a fresh web
+    recentered on the last root.  Lost roots are recorded as gaps rather
+    than aborting the scan.
     """
     points: list[DispersionPoint] = []
-    previous: complex | None = None
+    branch: list[tuple[float, SecantRoot]] = []  # last roots found in a row
     span_re = region[1] - region[0]
     span_im = region[3] - region[2]
     for k in k_grid:
+        k = float(k)
         qf = problem_family(k)
-        root: complex | None = None
+        root: SecantRoot | None = None
         method = "web"
-        if previous is not None:
+        if branch:
+            (k0, w0), (k1, w1) = branch[0], branch[-1]
+            seed, hop = w1, math.inf
+            if k0 != k1:  # two roots at distinct k: predict, guard the hop
+                seed = w1 + (w1 - w0) * (k - k1) / (k1 - k0)
+                hop = abs(w1 - w0)
             try:
-                root = refine_complex_root(qf, previous, refine_tol)
-                method = "continuation"
+                found = refine_complex_root(qf, seed, refine_tol, slope=w1.slope)
+                if abs(found - seed) <= hop:
+                    root, method = found, "continuation"
             except SchwarzianSLError:
-                root = None
+                pass
         if root is None:
-            if previous is None:
+            if not branch:
                 window = tuple(region)
-            else:
+            else:  # recentered on the last root, w1
                 window = (
-                    previous.real - span_re / 2.0,
-                    previous.real + span_re / 2.0,
-                    max(previous.imag - span_im / 2.0, 1e-3),
-                    previous.imag + span_im / 2.0,
+                    w1.real - span_re / 2.0,
+                    w1.real + span_re / 2.0,
+                    max(w1.imag - span_im / 2.0, 1e-3),
+                    w1.imag + span_im / 2.0,
                 )
             web = spectral_web(qf, window, nx, ny, workers)
             roots = [c for c in web.charges if c.winding > 0]
@@ -356,10 +390,12 @@ def dispersion_scan(
                 seed = max(roots, key=lambda c: c.location.imag).location
                 try:
                     root = refine_complex_root(qf, seed, refine_tol)
-                    method = "web"
                 except SchwarzianSLError:
-                    root = None
-        points.append(DispersionPoint(k=float(k), omega=root, method=method))
-        if root is not None:
-            previous = root
+                    pass
+        points.append(DispersionPoint(
+            k=k, omega=None if root is None else complex(root), method=method))
+        if root is None:
+            branch = branch[-1:]
+        else:
+            branch = (branch[-1:] if method == "continuation" else []) + [(k, root)]
     return points

@@ -22,6 +22,7 @@ from conftest import (
     PAINE_ERRATUM,
     PAINE_ORACLE,
     PAINE_PUBLISHED_TEXT,
+    axis_limits,
     integrate_checkpoints,
     printed_unit,
 )
@@ -373,7 +374,7 @@ def test_criterion_8_property_suite(morse_problem, cohn_model):
     for _ in range(3):
         w = complex(rng.uniform(1.0, 5.0), rng.uniform(0.5, 3.0))
         for m in (1, 2):
-            limits = s.axis_limits(eq, m, k, w)
+            limits = axis_limits(eq, m, k, w)
             v = limits.values
             if v["d22"] != -v["d11"]:
                 failures.append(f"d22 != -d11 at omega={w}, m={m}")

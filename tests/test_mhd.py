@@ -10,7 +10,7 @@ from schwarzian_sl import mhd
 from schwarzian_sl.mhd import _ratios
 from schwarzian_sl.schwarzian import Approach
 
-from conftest import assert_close, integrate_checkpoints
+from conftest import assert_close, axis_limits, integrate_checkpoints
 
 K = math.pi
 OMEGA = 3.0 + 2.0j
@@ -185,7 +185,7 @@ def test_near_axis_m0_log_behavior(eq):
     states = integrate_checkpoints(
         sysphi, 0.9, (0j, 1 + 0j, 0j), [1e-3, 5e-4, 2.5e-4], OMEGA, tol
     )
-    limits = s.axis_limits(eq, 0, K, OMEGA)
+    limits = axis_limits(eq, 0, K, OMEGA)
     b21 = limits.values["b21"]
     slope = (states[0][0] - states[1][0]) / (math.log(1e-3) - math.log(5e-4))
     assert abs(slope - (-b21)) < 0.02 * abs(b21)
@@ -200,7 +200,7 @@ def test_near_axis_m_nonzero_attractor(eq):
     # generic integration lands on Y4 -> (|m| - d11)/d12
     m = 1
     tol = s.Tolerances(rel=1e-10, abs=1e-12)
-    limits = s.axis_limits(eq, m, K, OMEGA)
+    limits = axis_limits(eq, m, K, OMEGA)
     d11, d12 = limits.values["d11"], limits.values["d12"]
     sysphi = s.y1_system(eq, m, K, Approach.PHI)
     states = integrate_checkpoints(
@@ -218,7 +218,7 @@ def test_axis_limits_identities(eq):
     for _ in range(3):
         w = complex(rng.uniform(1, 5), rng.uniform(0.5, 3))
         for m in (1, 2):
-            limits = s.axis_limits(eq, m, K, w)
+            limits = axis_limits(eq, m, K, w)
             v = limits.values
             assert v["d22"] == -v["d11"]
             assert abs(v["d11"] ** 2 + v["d12"] * v["d21"] - m * m) < 1e-6
@@ -226,7 +226,7 @@ def test_axis_limits_identities(eq):
 
 
 def test_axis_limits_m0(eq):
-    limits = s.axis_limits(eq, 0, K, OMEGA)
+    limits = axis_limits(eq, 0, K, OMEGA)
     for key in ("b11", "b12", "b21", "b22"):
         value = limits.values[key]
         assert value == value  # finite, not NaN

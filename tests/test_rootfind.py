@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -139,6 +141,18 @@ def test_refine_complex_root_no_convergence():
     assert excinfo.value.residual > 0
 
 
+def test_refine_complex_root_result_is_a_complex():
+    root = s.refine_complex_root(lambda w: (w - 5) * (w - 1), 4.8 + 0j, tol=1e-12)
+    assert isinstance(root, complex)
+    assert abs(root - 5.0) < 1e-10 and root != 5.1
+    assert type(root - 5.0) is complex and type(complex(root)) is complex
+    assert f"{root:.6f}" == "5.000000+0.000000j" and str(root) == str(complex(root))
+    # the final secant slope, near qf'(5) = 4
+    assert abs(root.slope - 4.0) < 1e-6
+    for copied in (pickle.loads(pickle.dumps(root)), copy.deepcopy(root)):
+        assert copied == root and copied.slope == root.slope
+
+
 def test_cohn_web_single_root(cohn_model):
     qf = s.JetQuantizationFunction(
         cohn_model, 0, math.pi, s.Approach.G, rel_tol=1e-6, abs_tol=1e-9
@@ -183,6 +197,19 @@ def test_dispersion_scan_tracks_moving_root():
         assert abs(p.omega - p.k * (1.0 + 0.5j)) < 1e-8
 
 
+def test_dispersion_scan_repeated_k_does_not_extrapolate():
+    # two roots at the same k give no predictor slope: seed at the last root
+    def family(k):
+        target = k * (1.0 + 0.5j)
+        return lambda w: w - target
+
+    k_grid = [1.0, 1.0, 1.0, 2.0, 3.0]
+    points = s.dispersion_scan(family, k_grid, (0.0, 2.0, 0.0, 2.0), 16, 16)
+    assert [p.method for p in points] == ["web"] + ["continuation"] * 4
+    for p in points:
+        assert abs(p.omega - p.k * (1.0 + 0.5j)) < 1e-8
+
+
 def test_dispersion_scan_records_gap_then_recovers():
     def family(k):
         if k == 2.0:
@@ -195,6 +222,73 @@ def test_dispersion_scan_records_gap_then_recovers():
     assert points[0].omega is not None
     assert points[1].omega is None
     assert points[2].omega is not None
+
+
+class _CountingFamily:
+    """qf_k(w) = (w - r(k)) (w + 5) exp(0.1i w k), counting evaluations per k."""
+
+    def __init__(self, root):
+        self.root = root
+        self.calls = {}
+
+    def __call__(self, k):
+        r = self.root(k)
+
+        def qf(w):
+            self.calls[k] = self.calls.get(k, 0) + 1
+            return (w - r) * (w + 5) * np.exp(0.1j * w * k)
+
+        return qf
+
+
+def test_dispersion_scan_evaluation_economy():
+    # linear prediction, carried slope and the step stop: the parent's plain
+    # secant from the previous root took 6.3 evaluations per continued k
+    def root(k):
+        return (1 + 1j) + 0.2 * k + 0.03j * k * k
+
+    family = _CountingFamily(root)
+    k_grid = np.linspace(0.5, 6.0, 23)
+    points = s.dispersion_scan(family, k_grid, (0.0, 4.0, 0.1, 3.0), 12, 12)
+    assert [p.method for p in points] == ["web"] + ["continuation"] * 22
+    for p in points:
+        assert type(p.omega) is complex
+        assert abs(p.omega - root(p.k)) < 1e-10
+    continued = sum(family.calls[float(k)] for k in k_grid[1:])
+    assert continued <= 5 * 22
+
+
+def test_dispersion_scan_carried_slope_is_a_newton_step():
+    # on a linear family the Newton step with the carried slope lands on the
+    # root: a continued k costs the predicted seed and at most that point
+    calls = {}
+
+    def family(k):
+        def qf(w):
+            calls[k] = calls.get(k, 0) + 1
+            return 2 * (w - k * (1 + 0.5j))
+
+        return qf
+
+    k_grid = [1.0, 2.0, 3.0, 4.0]
+    points = s.dispersion_scan(family, k_grid, (0.0, 2.0, 0.0, 2.0), 16, 16)
+    assert [p.method for p in points] == ["web"] + ["continuation"] * 3
+    assert all(calls[k] <= 2 for k in k_grid[1:])
+    for p in points:
+        assert abs(p.omega - p.k * (1 + 0.5j)) < 1e-12
+
+
+def test_dispersion_scan_branch_hop_falls_back_to_web():
+    # the root jumps from (1.25 + 1j) towards 1.6 + 1.6j between k = 2 and 3;
+    # the corrector lands 0.67 from the prediction 1.3 + 1j, farther than
+    # the last continuation step of 0.1, so a recentered web decides k = 3
+    def family(k):
+        r = (1 + 1j) + 0.1 * k if k < 2.5 else 1.6 + 1.6j
+        return lambda w: w - r
+
+    points = s.dispersion_scan(family, [1.0, 2.0, 3.0], (0.0, 2.0, 0.0, 2.0), 16, 16)
+    assert [p.method for p in points] == ["web", "continuation", "web"]
+    assert abs(points[2].omega - (1.6 + 1.6j)) < 1e-12
 
 
 def test_scan_real_bisection_failure_drops_crossing():
