@@ -25,8 +25,7 @@ def family(k):
 
 
 k_grid = np.linspace(0.5, 6.0, 12)
-points = s.dispersion_scan(family, k_grid, (0.05, 3.0, 0.05, 2.0),
-                           nx=48, ny=48, workers=2)
+points = s.dispersion_scan(family, k_grid, (0.05, 3.0, 0.05, 2.0), nx=48, ny=48)
 
 print(f"{'k':>6} {'Re omega':>12} {'Im omega':>12}  method")
 for p in points:

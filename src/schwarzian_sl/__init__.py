@@ -18,11 +18,13 @@ from .integrate import (
     DimensionMismatch,
     NonFiniteRhs,
     OdeSystem,
+    SingularSurface,
     StepFailure,
     StopReason,
     Tolerances,
     Trajectory,
     integrate,
+    integrate_lanes,
     merge_legs,
 )
 from .minimalist import (
@@ -71,7 +73,6 @@ from .mhd import (
     JetQuantizationFunction,
     MhdEquilibrium,
     ProfileSegment,
-    SingularSurface,
     YSamples,
     eigenfunctions_y,
     jet_trajectories,

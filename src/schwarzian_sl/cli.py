@@ -3,8 +3,9 @@ eigenfunction export and dispersion scans.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure.  A JSON config file (--config) provides defaults; explicit flags
-win.  Web evaluation parallelizes over --threads workers (fallback: the
-SCHWARZIAN_SL_THREADS environment variable, then the CPU count).
+win.  A web evaluates its samples as lanes of one vectorized integration;
+--threads (default 1) splits them into that many chunks, each run in its
+own process.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from typing import Any
 
@@ -96,15 +96,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ConfigError(f"--grid must look like 200x200, got {text!r}")
     return int(parts[0]), int(parts[1])
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("SCHWARZIAN_SL_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _approach(method: str) -> Approach:
@@ -259,9 +250,8 @@ def cmd_web(args: argparse.Namespace) -> int:
     config = entry.build(**_parse_params(args.param))
     region = _parse_floats(args.region, 4, "--region")
     nx, ny = _parse_grid(args.grid)
-    workers = _resolve_threads(args.threads)
     qf = _stability_qf(config, method, args)
-    web = spectral_web(qf, region, nx, ny, workers=workers)
+    web = spectral_web(qf, region, nx, ny, workers=args.threads or 1)
     print(f"web {nx}x{ny} over {region}: {len(web.charges)} charge(s), "
           f"{len(web.failures)} failed sample(s)")
     roots = []
@@ -354,7 +344,6 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
     lo, hi, n = _parse_floats(args.kgrid, 3, "--kgrid")
     k_grid = np.linspace(lo, hi, int(n))
     region = _parse_floats(args.region, 4, "--region")
-    workers = _resolve_threads(args.threads)
     base = entry.build(**params)
     qf = _stability_qf(base, method, args)
 
@@ -362,7 +351,9 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
         return dataclasses.replace(qf, k=float(k))
 
     nx, ny = _parse_grid(args.grid)
-    points = dispersion_scan(family, k_grid, region, nx, ny, workers=workers)
+    points = dispersion_scan(
+        family, k_grid, region, nx, ny, workers=args.threads or 1
+    )
     gaps = [p.k for p in points if p.omega is None]
     for p in points:
         if p.omega is None:
@@ -415,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--region", required=True, help="Re_min,Re_max,Im_min,Im_max")
     p.add_argument("--grid", default="200x200", help="web resolution NXxNY")
-    p.add_argument("--threads", type=int, help="worker processes")
+    p.add_argument("--threads", type=int, help="processes for the web's lanes (default 1)")
     p.add_argument("--cuts", help="integration window lo,hi")
     p.add_argument("--no-refine", dest="refine", action="store_false",
                    help="skip polishing the detected roots")
@@ -432,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kgrid", required=True, help="wavenumber grid lo,hi,n")
     p.add_argument("--region", required=True, help="initial web region")
     p.add_argument("--grid", default="64x64", help="fallback web resolution")
-    p.add_argument("--threads", type=int, help="worker processes")
+    p.add_argument("--threads", type=int, help="processes for a web's lanes (default 1)")
     p.set_defaults(func=cmd_dispersion)
 
     return parser

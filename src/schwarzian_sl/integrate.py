@@ -4,6 +4,8 @@ The engine is an embedded Dormand-Prince 5(4) pair with PI step-size
 control, operating on tuples of Python complex scalars (the systems here
 have dimension <= 4, where scalar arithmetic beats array overhead).
 Integration runs along a real independent variable in either direction.
+``integrate_lanes`` runs the same pair and controller over many parameter
+values at once, one lane each, for the independent samples of a web.
 
 Stopping semantics:
 
@@ -44,6 +46,10 @@ class StepFailure(SchwarzianSLError):
     """A leg whose terminal state is needed stalled before its end."""
 
 
+class SingularSurface(SchwarzianSLError):
+    """A continuous-spectrum resonance denominator vanished."""
+
+
 class StopReason(Enum):
     REACHED_END = "ReachedEnd"
     EVENT_FIRED = "EventFired"
@@ -70,6 +76,8 @@ class Tolerances:
 class OdeSystem:
     dimension: int
     rhs: RhsFunction
+    # the same rhs over lanes: x (n,), y (dim, n), lam (n,) -> f, singular (n,)
+    lanes: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
 
 
 @dataclass
@@ -116,6 +124,10 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     22 / 525,
     -1 / 40,
 )
+
+# (c_i, a_i1 .. a_i,i-1) of the stages 2 to 6, for the lane engine
+_LANE_STAGES = ((_C2, (_A21,)), (_C3, (_A31, _A32)), (_C4, (_A41, _A42, _A43)),
+                (_C5, (_A51, _A52, _A53, _A54)), (1.0, (_A61, _A62, _A63, _A64, _A65)))
 
 # Hairer-style PI controller.
 _SAFETY = 0.9
@@ -319,6 +331,96 @@ def integrate(
         terminal=(x, y),
         stop_reason=reason,
     )
+
+
+def _lane_rms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v * v).sum(axis=0) / v.shape[0])
+
+
+def integrate_lanes(
+    sys: OdeSystem, x0: float, x1: float, y0: Sequence[complex] | np.ndarray,
+    lam: np.ndarray, tol: Tolerances = Tolerances(),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`integrate` from x0 to x1 once per parameter in ``lam``, as lanes.
+
+    Lane j starts from y0 ((dim,), or (dim, n) per lane) with lam[j] and
+    takes the steps `integrate` takes, with its own x, h, PI-controller
+    memory and step budget (Hairer, Norsett and Wanner, *Solving ODEs I*,
+    section II.4); it leaves the batch when it ends.  ``sys.lanes`` maps x
+    (n,), y (dim, n) and lam (n,) to f (dim, n) and a mask of lanes where
+    the rhs is singular.  Returns the terminal x (n,) and y (dim, n), and
+    per lane None when it reached x1, else the error that ended it:
+    NonFiniteRhs at the launch, SingularSurface where the rhs was singular,
+    or StepFailure for a stall (whose terminal state is the last accepted
+    one).
+    """
+    if x0 == x1:
+        raise ValueError("x0 and x1 must differ")
+    lam = np.asarray(lam, dtype=complex).ravel()
+    rhs, dim, n = sys.lanes, sys.dimension, lam.size
+    y = np.empty((dim, n), dtype=complex)
+    y[...] = np.asarray(y0, dtype=complex).reshape(dim, -1)
+    x = np.full(n, float(x0))
+    x_end, y_end, failure = x.copy(), y.copy(), np.full(n, None, dtype=object)
+    direction, span = (1.0 if x1 > x0 else -1.0), abs(x1 - x0)
+    with np.errstate(all="ignore"):
+        f, at_launch = rhs(x, y, lam)
+        failure[~np.isfinite(f).all(axis=0)] = NonFiniteRhs
+        # _initial_step, per lane; d2 is 0 where scalar arithmetic raises
+        scale = tol.abs + tol.rel * np.abs(y)
+        d0, d1 = _lane_rms(np.abs(y) / scale), _lane_rms(np.abs(f) / scale)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6 * span, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, span)
+        f1, at_probe = rhs(x0 + direction * h0, y + direction * h0 * f, lam)
+        d2 = _lane_rms(np.abs(f1 - f) / scale) / h0
+        d_max = np.maximum(d1, np.where(np.isfinite(d2), d2, 0.0))
+        h1 = np.where(d_max > 1e-15, (0.01 / d_max) ** 0.2, np.maximum(1e-6 * span, h0 * 1e3))
+        h = np.minimum(100.0 * h0, h1)
+        failure[at_launch | (at_probe & ~failure.astype(bool))] = SingularSurface
+        lane = np.arange(n)  # the original index of each live lane
+        steps, fac_old, ended = np.zeros(n, dtype=int), np.full(n, 1e-4), failure.astype(bool)
+        while True:
+            stalled = ~ended & ((steps >= tol.max_steps) | ~(h >= tol.min_step))
+            failure[lane[stalled]] = StepFailure
+            ended |= stalled
+            if ended.any():
+                out = lane[ended]
+                x_end[out], y_end[:, out] = x[ended], y[:, ended]
+                lane, x, y, f, h, lam, steps, fac_old = (
+                    a[..., ~ended] for a in (lane, x, y, f, h, lam, steps, fac_old))
+            if not lane.size:
+                break
+            steps += 1
+            remaining = np.abs(x1 - x)
+            last = h >= remaining
+            h = np.where(last, remaining, h)
+            hd = direction * h
+            ks, hit = [f], np.zeros(lane.size, dtype=bool)
+            for c, row in _LANE_STAGES:  # k2 .. k6
+                k, at = rhs(x + c * hd, y + hd * sum(a * k for a, k in zip(row, ks)), lam)
+                ks.append(k)
+                hit |= at
+            k1, k2, k3, k4, k5, k6 = ks
+            y_new = y + hd * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            x_new = np.where(last, x1, x + hd)
+            k7, at = rhs(x_new, y_new, lam)
+            hit |= at
+            err = hd * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+            bad = ~(np.isfinite(y_new).all(axis=0) & np.isfinite(err).all(axis=0))
+            scale = tol.abs + tol.rel * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = _lane_rms(np.abs(err) / scale)
+            accept = ~hit & ~bad & (err_norm <= 1.0)
+            grow = np.clip(np.maximum(err_norm, 1e-10) ** _EXPO / fac_old**_BETA / _SAFETY,
+                           1.0 / _MAX_FACTOR, 1.0 / _MIN_FACTOR)
+            shrink = np.minimum(1.0 / _MIN_FACTOR, err_norm**_EXPO / _SAFETY)
+            h = np.where(bad, h * 0.1, h / np.where(accept, grow, shrink))
+            fac_old = np.where(accept, np.maximum(err_norm, 1e-4), fac_old)
+            x = np.where(accept, x_new, x)
+            y = np.where(accept, y_new, y)
+            f = np.where(accept, k7, f)
+            failure[lane[hit]] = SingularSurface
+            ended = hit | (accept & last)
+    return x_end, y_end, failure
 
 
 def raise_if_stalled(*legs: Trajectory) -> None:

@@ -22,28 +22,27 @@ the axis and make the 1/r structure of the system explicit.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import SchwarzianSLError
 from .integrate import (
     OdeSystem,
+    SingularSurface,
+    StepFailure,
     Tolerances,
     Trajectory,
     integrate,
+    integrate_lanes,
     merge_legs,
     raise_if_stalled,
 )
 from .schwarzian import Approach, branch_tracked_sqrt
 
 _INTERFACE_NUDGE = 1e-9  # relative launch offset off an interface
-
-
-class SingularSurface(SchwarzianSLError):
-    """A continuous-spectrum resonance denominator vanished."""
 
 
 @dataclass(frozen=True)
@@ -160,41 +159,63 @@ class MhdEquilibrium:
         return d_total + d_hoop / r**2
 
 
-def _ratios(
-    eq: MhdEquilibrium, m: int, k: float, omega: complex, r: float
-) -> tuple[complex, complex, complex]:
-    """(rf11, rf12, rf21) at radius r; raises SingularSurface on resonance."""
-    seg = eq.segment_at(r)
+def _segment_ratios(seg: ProfileSegment, gamma: float, m: int, k: float, omega, r):
+    """(rf11, rf12, rf21, singular) in one segment, for scalar or lane-array
+    omega and r.  ``singular`` marks a vanishing continuous-spectrum
+    denominator; the ratios there mean nothing, and an exactly zero one
+    raises ZeroDivisionError in a scalar call."""
     rho = seg.rho0
     bz = seg.B0z
     bphi = seg.b_phi_const + seg.b_phi_over_r / r
     b_sq = bz * bz + bphi * bphi
-    cs_sq = eq.gamma * seg.P0 / rho
+    cs_sq = gamma * seg.P0 / rho
     w_co = omega - k * seg.V0
     w_co_sq = w_co * w_co
     kb = k * bz + (m / r) * bphi  # k_co . B0
     kco_sq = k * k + (m / r) ** 2
     delta = rho * w_co_sq - kb * kb
     scale = rho * (abs(w_co) + abs(k * seg.V0) + abs(omega)) ** 2 + kb * kb + 1e-300
-    if abs(delta) <= 1e-30 * scale:
-        raise SingularSurface(f"rho0 w_co^2 - (k.B0)^2 vanishes at r={r}")
+    singular = abs(delta) <= 1e-30 * scale
     if seg.P0 == 0.0:
         # cold plasma: the sound-speed factors cancel algebraically
-        if b_sq == 0.0:
-            raise SingularSurface(f"cold unmagnetized segment at r={r}")
+        singular = singular | (b_sq == 0.0)
         kappa_t_sq = rho * w_co_sq / b_sq - kco_sq
-    elif b_sq == 0.0:
+    elif not (bz or seg.b_phi_const or seg.b_phi_over_r):
         kappa_t_sq = w_co_sq / cs_sq - kco_sq
     else:
         den = (rho * cs_sq + b_sq) * w_co_sq - cs_sq * kb * kb
         den_scale = abs((rho * cs_sq + b_sq) * w_co_sq) + cs_sq * kb * kb + 1e-300
-        if abs(den) <= 1e-30 * den_scale:
-            raise SingularSurface(f"slow-resonance denominator vanishes at r={r}")
+        singular = singular | (abs(den) <= 1e-30 * den_scale)
         kappa_t_sq = rho * w_co_sq * w_co_sq / den - kco_sq
     rf11 = -(bphi * bphi * kappa_t_sq + 2.0 * bphi * k * (bphi * k - bz * m / r)) / delta
     rf12 = kappa_t_sq * r * r / delta
     rf21 = -(delta + (bphi * bphi / (r * r)) * (bphi * bphi * kappa_t_sq - 4.0 * bz * k * kb) / delta)
+    return rf11, rf12, rf21, singular
+
+
+def _ratios(
+    eq: MhdEquilibrium, m: int, k: float, omega: complex, r: float
+) -> tuple[complex, complex, complex]:
+    """(rf11, rf12, rf21) at radius r; raises SingularSurface on resonance."""
+    try:
+        rf11, rf12, rf21, singular = _segment_ratios(eq.segment_at(r), eq.gamma, m, k, omega, r)
+    except ZeroDivisionError:
+        singular = True
+    if singular:
+        raise SingularSurface(f"a continuous-spectrum denominator vanishes at r={r}")
     return rf11, rf12, rf21
+
+
+def _lane_ratios(eq: MhdEquilibrium, m: int, k: float, omega: np.ndarray, r: np.ndarray):
+    """`_segment_ratios` over lanes, each in the segment that holds its r."""
+    which = np.maximum(np.searchsorted([s.lo for s in eq.segments], r, side="right") - 1, 0)
+    if (which == which[0]).all():
+        return _segment_ratios(eq.segments[which[0]], eq.gamma, m, k, omega, r)
+    out = np.empty((4, r.size), dtype=complex)  # rf11, rf12, rf21, singular
+    for i in np.unique(which):
+        sel = which == i
+        out[:, sel] = _segment_ratios(eq.segments[i], eq.gamma, m, k, omega[sel], r[sel])
+    return out[0], out[1], out[2], out[3].real != 0.0
 
 
 def y_riccati_system(eq: MhdEquilibrium, m: int, k: float) -> OdeSystem:
@@ -223,31 +244,37 @@ def y1_phi_system_rhs(
 
 
 def y1_g_system_rhs(
-    r: float, state: Sequence[complex], rf11: complex, rf12: complex, rf21: complex
+    r: float, state: Sequence[complex], rf11: complex, rf12: complex, rf21: complex,
+    exp=cmath.exp,
 ) -> tuple[complex, complex, complex]:
     """Right side of the y1 Schwarzian g system; state = (Y4, Y3, g1).
 
-    Reconstruction: 1/Y = Y4 - e^{-2 Y3} / (g1 + C2/C1).
+    Reconstruction: 1/Y = Y4 - e^{-2 Y3} / (g1 + C2/C1); lanes pass np.exp.
     """
     y4, y3 = state[0], state[1]
     diff = -2.0 * rf11  # rf22 - rf11
     return (
         (-rf21 - diff * y4 + rf12 * y4 * y4) / r,
         (-y4 * rf12 + 0.5 * diff) / r,
-        rf12 * cmath.exp(-2.0 * y3) / r,
+        rf12 * exp(-2.0 * y3) / r,
     )
 
 
 def y1_system(eq: MhdEquilibrium, m: int, k: float, approach: Approach) -> OdeSystem:
     """The three-component y1 Schwarzian system (Y4, Y3, g1 or Phi1) as an
-    integrable OdeSystem; omega is its parameter."""
+    integrable OdeSystem, with its lane form; omega is its parameter."""
     body = y1_phi_system_rhs if approach is Approach.PHI else y1_g_system_rhs
+    lane_body = functools.partial(body, exp=np.exp) if body is y1_g_system_rhs else body
 
     def rhs(r: float, y: tuple[complex, ...], omega: complex):
         rf11, rf12, rf21 = _ratios(eq, m, k, omega, r)
         return body(r, y, rf11, rf12, rf21)
 
-    return OdeSystem(dimension=3, rhs=rhs)
+    def lanes(r: np.ndarray, y: np.ndarray, omega: np.ndarray):
+        rf11, rf12, rf21, singular = _lane_ratios(eq, m, k, omega, r)
+        return np.array(lane_body(r, y, rf11, rf12, rf21)), singular
+
+    return OdeSystem(dimension=3, rhs=rhs, lanes=lanes)
 
 
 @dataclass(frozen=True)
@@ -302,6 +329,15 @@ DEFAULT_G_LAUNCH = (0j, 0j, 0j)  # (Y4, Y3, g1) at the interface
 DEFAULT_PHI_LAUNCH = (0j, 1 + 0j, 0j)  # (Y4, Y3, Phi1) at the interface
 
 
+def _legs(eq: MhdEquilibrium, approach: Approach, launch, cuts, start: float):
+    """The launch state and the (from, to) radii of the inward and outward
+    legs; a start on an interface is nudged inside for the inward leg."""
+    if launch is None:
+        launch = DEFAULT_PHI_LAUNCH if approach is Approach.PHI else DEFAULT_G_LAUNCH
+    start_in = start * (1.0 - _INTERFACE_NUDGE) if start in eq.interfaces else start
+    return launch, ((start_in, cuts[0]), (start, cuts[1]))
+
+
 def jet_trajectories(
     eq: MhdEquilibrium,
     m: int,
@@ -321,15 +357,12 @@ def jet_trajectories(
     nudged one part in 10^9 to the matching side of each leg.  A leg that
     stalls before its cut raises StepFailure.
     """
-    if launch is None:
-        launch = DEFAULT_PHI_LAUNCH if approach is Approach.PHI else DEFAULT_G_LAUNCH
+    launch, spans = _legs(eq, approach, launch, cuts, start)
     sys = y1_system(eq, m, k, approach)
-    on_interface = start in eq.interfaces
-    start_in = start * (1.0 - _INTERFACE_NUDGE) if on_interface else start
-    inward = integrate(
-        sys, start_in, cuts[0], launch, omega, tol, store_path=store_path
+    inward, outward = (
+        integrate(sys, x0, x1, launch, omega, tol, store_path=store_path)
+        for x0, x1 in spans
     )
-    outward = integrate(sys, start, cuts[1], launch, omega, tol, store_path=store_path)
     raise_if_stalled(inward, outward)
     return inward, outward
 
@@ -370,6 +403,27 @@ class JetQuantizationFunction:
         if self.approach is Approach.PHI:
             return cmath.sin(value / 2.0)
         return value
+
+    def lanes(self, omegas: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+        """`__call__` at many omegas, each leg one lane-batched integration:
+        the values (NaN where an evaluation failed) and per omega None or the
+        name of the error `__call__` raises there."""
+        eq = self.model.equilibrium()
+        launch, spans = _legs(eq, self.approach, self.launch, self.cuts, self.model.radius)
+        sys = y1_system(eq, self.m, self.k, self.approach)
+        tol = Tolerances(rel=self.rel_tol, abs=self.abs_tol)
+        (_, inner, fail_in), (_, outer, fail_out) = (
+            integrate_lanes(sys, x0, x1, launch, omegas, tol)
+            for x0, x1 in spans)
+        # __call__ raises an error of the inward leg, else one of the outward
+        # leg, else StepFailure for a stall of either
+        take_out = ~fail_in.astype(bool) | ((fail_in == StepFailure) & fail_out.astype(bool))
+        failure = np.where(take_out, fail_out, fail_in)
+        value = outer[2] - inner[2]
+        if self.approach is Approach.PHI:
+            value = np.sin(value / 2.0)
+        value[failure.astype(bool)] = np.nan
+        return value, [None if f is None else f.__name__ for f in failure]
 
 
 @dataclass

@@ -160,28 +160,22 @@ class SpectralWeb:
         return round(float(_wrap_array(np.diff(path)).sum()) / _TWO_PI)
 
 
-def _eval_samples(
-    qf: QuantizationFunction, samples: np.ndarray, workers: int
-) -> list[complex | None]:
-    job = _SampleJob(qf)
-    if workers <= 1:
-        return [job(w) for w in samples.tolist()]
-    chunk = max(16, len(samples) // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, samples.tolist(), chunksize=chunk))
-
-
-class _SampleJob:
-    """Picklable wrapper that maps evaluation failures to None."""
-
-    def __init__(self, qf: QuantizationFunction):
-        self.qf = qf
-
-    def __call__(self, w: complex) -> complex | None:
+def _eval_chunk(
+    qf: QuantizationFunction, samples: np.ndarray
+) -> tuple[np.ndarray, list[str | None]]:
+    """Values of qf over samples (NaN where it failed) and per sample None
+    or the name of the error: one call of ``qf.lanes`` when qf offers it,
+    else one call of qf each."""
+    if hasattr(qf, "lanes"):
+        return qf.lanes(samples)
+    values = np.full(samples.size, np.nan, dtype=complex)
+    kinds: list[str | None] = [None] * samples.size
+    for i, w in enumerate(samples.tolist()):
         try:
-            return complex(self.qf(w))
-        except SchwarzianSLError:
-            return None
+            values[i] = qf(w)
+        except SchwarzianSLError as exc:
+            kinds[i] = type(exc).__name__
+    return values, kinds
 
 
 def spectral_web(
@@ -193,6 +187,11 @@ def spectral_web(
 ) -> SpectralWeb:
     """Build the phase map and detect root/pole charges.
 
+    The samples split into ``workers`` contiguous chunks, one process each
+    (this one for a single chunk), evaluated by ``qf.lanes(samples) ->
+    (values, failure kinds)`` when qf offers that lane-batched form, else
+    one qf call each.  A failed sample records the name of its error.
+
     A plaquette is charged when the wrapped phase differences around its
     four edges do not cancel (|sum| > pi); adjacent charged plaquettes of
     the same sign cluster into one charge at their centroid.  Plaquettes
@@ -203,15 +202,16 @@ def spectral_web(
     re = np.linspace(region[0], region[1], nx)
     im = np.linspace(region[2], region[3], ny)
     ww = (re[:, None] + 1j * im[None, :]).ravel()
-    raw = _eval_samples(qf, ww, workers)
-    psi = np.full(nx * ny, np.nan)
-    failures: list[tuple[complex, str]] = []
-    for idx, value in enumerate(raw):
-        if value is None:
-            failures.append((complex(ww[idx]), "evaluation failed"))
-        else:
-            psi[idx] = math.atan2(value.imag, value.real)
-    psi = psi.reshape(nx, ny)
+    chunks = np.array_split(ww, max(1, min(workers, ww.size)))
+    if len(chunks) == 1:
+        parts = [_eval_chunk(qf, ww)]
+    else:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(_eval_chunk, [qf] * len(chunks), chunks))
+    values = np.concatenate([p[0] for p in parts])
+    kinds = [kind for p in parts for kind in p[1]]
+    failures = [(complex(w), kind) for w, kind in zip(ww, kinds) if kind is not None]
+    psi = np.angle(values).reshape(nx, ny)
 
     d_re = _wrap_array(np.diff(psi, axis=0))  # (nx-1, ny)
     d_im = _wrap_array(np.diff(psi, axis=1))  # (nx, ny-1)

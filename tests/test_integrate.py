@@ -195,3 +195,73 @@ def test_nan_initial_step_stops_at_once():
     assert tr.stop_reason is StopReason.STEP_FAILURE
     assert calls <= 100
     assert tr.terminal == (0.0, (1 + 0j,))
+
+
+def _lane_system(counts=None):
+    # u' = i Re(lam) u + Im(lam) u^2, v' = 0: a rotation for real lam, a
+    # blow-up at x = 1 from u = 1 for lam = 1j.  The lane form is singular
+    # past x = 1 for lam = 2 + 0j; ``counts`` tallies rhs calls per lam.
+    def rhs(x, y, lam):
+        if counts is not None:
+            counts[lam] = counts.get(lam, 0) + 1
+        return (1j * lam.real * y[0] + lam.imag * y[0] * y[0], 0j)
+
+    def lanes(x, y, lam):
+        if counts is not None:
+            for value in lam.tolist():
+                counts[value] = counts.get(value, 0) + 1
+        u = y[0]
+        f = np.array([1j * lam.real * u + lam.imag * u * u, np.zeros_like(u)])
+        return f, (lam == 2.0) & (x > 1.0)
+
+    return s.OdeSystem(2, rhs, lanes)
+
+
+def test_lanes_match_scalar_integrate_per_lane():
+    # every lane takes the scalar integrator's steps: the same rhs calls
+    # and, up to rounding, the same terminal state
+    lams = np.array([0.5, 1.0, 3.0, 7.5, -2.0, 0.25 + 0j])
+    tol = s.Tolerances(rel=1e-9, abs=1e-12)
+    lane_calls, scalar_calls = {}, {}
+    x_end, y_end, failure = s.integrate_lanes(
+        _lane_system(lane_calls), 0.0, 4.0, (1 + 0j, 0j), lams, tol
+    )
+    assert list(failure) == [None] * len(lams)
+    assert np.all(x_end == 4.0)
+    for j, lam in enumerate(lams.tolist()):
+        tr = s.integrate(_lane_system(scalar_calls), 0.0, 4.0, (1 + 0j, 0j), lam, tol,
+                         store_path=False)
+        assert tr.stop_reason is StopReason.REACHED_END
+        assert abs(y_end[0, j] - tr.y_end[0]) <= 1e-13
+        assert abs(y_end[0, j] - cmath.exp(4j * lam.real)) < 1e-7
+    assert lane_calls == scalar_calls
+
+
+def test_lane_failures_stop_alone():
+    # lanes that run out of steps (lam = 40), fall below min_step at a
+    # blow-up (lam = 1j), start on a NaN step (v = inf), start non-finite
+    # (lam = nan) or meet a singular point (lam = 2) end as the scalar
+    # integrator does; their neighbours' results do not change
+    good = [0.5, 1.0, 1.5]
+    lams = np.array([0.5, 40.0, 1.0, 1j, 1.5, 0.75, complex("nan"), 2.0])
+    y0 = np.ones((2, lams.size), dtype=complex)
+    y0[1, 5] = complex("inf")
+    tol = s.Tolerances(max_steps=60)
+    sys, calls = _lane_system(), {}
+    x_end, y_end, failure = s.integrate_lanes(
+        _lane_system(calls), 0.0, 2.0, y0, lams, tol
+    )
+    assert calls[0.75] == 2  # launch and initial-step probe, then the NaN step
+    assert list(failure) == [None, s.StepFailure, None, s.StepFailure, None,
+                             s.StepFailure, s.NonFiniteRhs, s.SingularSurface]
+    for j in (1, 3, 5):  # the stalls stop where the scalar integrator stops
+        tr = s.integrate(sys, 0.0, 2.0, tuple(y0[:, j]), lams[j], tol,
+                         store_path=False)
+        assert tr.stop_reason is StopReason.STEP_FAILURE
+        assert abs(x_end[j] - tr.x_end) <= 1e-9 * abs(tr.x_end) and x_end[j] < 2.0
+        assert np.allclose(y_end[:, j], tr.y_end, rtol=1e-9, atol=0)
+    assert x_end[5] == 0.0 and 0.9 < x_end[3] < 1.1
+    alone = s.integrate_lanes(sys, 0.0, 2.0, (1 + 0j, 1 + 0j), np.array(good), tol)
+    kept = [0, 2, 4]
+    assert np.array_equal(x_end[kept], alone[0])
+    assert np.array_equal(y_end[:, kept], alone[1])

@@ -278,11 +278,28 @@ def test_cli_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert "1 eigenvalue(s)" in printed
 
 
-def test_cli_threads_env_fallback(monkeypatch):
-    from schwarzian_sl.cli import _resolve_threads
+def test_cli_threads_default_to_one_process(monkeypatch):
+    import schwarzian_sl.cli as cli
 
+    seen = []
+
+    def web(qf, region, nx, ny, workers):
+        seen.append(workers)
+        return s.spectral_web(lambda w: w - (3.5 + 3.5j), region, nx, ny)
+
+    def dispersion(family, k_grid, region, nx, ny, workers):
+        seen.append(workers)
+        return []
+
+    # the environment variable that once chose the worker count is ignored
     monkeypatch.setenv("SCHWARZIAN_SL_THREADS", "3")
-    assert _resolve_threads(None) == 3
-    assert _resolve_threads(5) == 5
-    monkeypatch.delenv("SCHWARZIAN_SL_THREADS")
-    assert _resolve_threads(None) >= 1
+    monkeypatch.setattr(cli, "spectral_web", web)
+    monkeypatch.setattr(cli, "dispersion_scan", dispersion)
+    web_args = ["web", "--problem", "cohn", "--region", "0,7,0,7", "--grid", "8x8",
+                "--no-refine"]
+    dispersion_args = ["dispersion", "--problem", "cohn", "--kgrid", "1,2,2",
+                       "--region", "0,7,0,7"]
+    for argv in (web_args, dispersion_args):
+        assert main(argv) == 0
+        assert main(argv + ["--threads", "2"]) == 0
+    assert seen == [1, 2, 1, 2]

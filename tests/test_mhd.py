@@ -256,6 +256,7 @@ def test_jet_quantization_stall_is_a_failed_sample(cohn_model, monkeypatch):
         qf(3.08 + 1.97j)
     web = s.spectral_web(qf, (2.0, 4.0, 1.0, 3.0), 8, 8)
     assert len(web.failures) == 64
+    assert {kind for _, kind in web.failures} == {"StepFailure"}
     assert web.charges == []
 
 
@@ -279,6 +280,62 @@ def test_phi_and_g_webs_same_root_charge(cohn_model):
     (root_g,) = [c for c in web_g.charges if c.winding > 0]
     (root_p,) = [c for c in web_p.charges if c.winding > 0]
     assert abs(root_g.location - root_p.location) <= max(web_g.cell_size)
+
+
+@pytest.mark.parametrize(
+    "approach, m, launch",
+    [
+        (Approach.G, 0, (0.1 + 0.2j, -0.1j, 0.3 + 0j)),
+        (Approach.PHI, 1, (0.1 + 0.2j, 1 - 0.1j, 0.3 + 0j)),
+    ],
+)
+def test_jet_lanes_match_scalar_calls(cohn_model, approach, m, launch):
+    qf = s.JetQuantizationFunction(cohn_model, m, K, approach, launch=launch,
+                                   cuts=(0.02, 8.0), rel_tol=1e-6, abs_tol=1e-9)
+    omegas = np.linspace(2.0, 4.0, 4)[:, None] + 1j * np.linspace(0.5, 2.5, 3)
+    values, kinds = qf.lanes(omegas.ravel())
+    assert kinds == [None] * omegas.size
+    for w, value in zip(omegas.ravel().tolist(), values.tolist()):
+        want = qf(w)
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_jet_lanes_fail_where_scalar_calls_fail(cohn_model):
+    # omega = kM = pi lies on this 9x9 grid (a singular surface), and at two
+    # real omegas the outward leg stalls at a pole of Y4
+    qf = s.JetQuantizationFunction(cohn_model, 0, K)
+    region = (K - 1.0, K + 1.0, 0.0, 1.0)
+    lanes = s.spectral_web(qf, region, 9, 9)
+    scalar = s.spectral_web(lambda w: qf(w), region, 9, 9)
+    assert lanes.failures == scalar.failures
+    assert sorted(kind for _, kind in lanes.failures) == [
+        "SingularSurface", "StepFailure", "StepFailure"]
+    assert np.array_equal(np.isnan(lanes.psi), np.isnan(scalar.psi))
+    assert lanes.charges == scalar.charges
+
+
+def test_jet_lanes_name_the_error_scalar_calls_raise(cohn_model, monkeypatch):
+    # with 3 steps per leg every leg stalls, but a leg that meets a singular
+    # surface raises that first: at omega = kM = pi the inward leg (flow
+    # resonance), at omega = 0 the outward one, after the inward leg stalled
+    monkeypatch.setattr(mhd, "Tolerances", functools.partial(s.Tolerances, max_steps=3))
+    qf = s.JetQuantizationFunction(cohn_model, 0, K)
+    region = (-K, K, 0.0, 1.0)
+    lanes = s.spectral_web(qf, region, 9, 9)
+    scalar = s.spectral_web(lambda w: qf(w), region, 9, 9)
+    assert lanes.failures == scalar.failures
+    assert len(lanes.failures) == 81
+    singular = [w for w, kind in lanes.failures if kind != "StepFailure"]
+    assert singular == [0j, complex(K)]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_web_psi_is_independent_of_workers(cohn_model, workers):
+    qf = s.JetQuantizationFunction(cohn_model, 0, K, rel_tol=1e-6, abs_tol=1e-9)
+    one = s.spectral_web(qf, (2.0, 4.0, 1.0, 3.0), 12, 12, workers=1)
+    split = s.spectral_web(qf, (2.0, 4.0, 1.0, 3.0), 12, 12, workers=workers)
+    assert np.array_equal(one.psi, split.psi)
+    assert one.charges == split.charges
 
 
 def test_g1_derivative_decays_at_cuts(eigen_run):
@@ -369,3 +426,21 @@ def test_eigenfunction_scaling_leaves_Y(eigen_run):
     scale = 2.3 - 1.1j
     ratio = (scale * samples.y1) / (scale * samples.y2)
     assert np.allclose(ratio, samples.Y)
+
+
+def test_lane_ratios_match_scalar_across_segments(eq):
+    # lanes on both sides of the interface, and one on the flow resonance
+    # omega = kM inside the jet, which only marks its own lane
+    rng = np.random.default_rng(3)
+    r = np.concatenate([[1.0, 0.5], rng.uniform(0.05, 6.0, 30)])
+    omega = rng.uniform(1.0, 5.0, r.size) + 1j * rng.uniform(0.5, 3.0, r.size)
+    omega[1] = K
+    with np.errstate(divide="ignore", invalid="ignore"):  # the singular lane
+        *ratios, singular = mhd._lane_ratios(eq, 1, K, omega, r)
+    assert singular.tolist() == [False, True] + [False] * 30
+    with pytest.raises(s.SingularSurface):
+        _ratios(eq, 1, K, complex(omega[1]), 0.5)
+    for j in [0] + list(range(2, r.size)):
+        want = _ratios(eq, 1, K, complex(omega[j]), float(r[j]))
+        for got, value in zip(ratios, want):
+            assert abs(got[j] - value) <= 1e-13 * abs(value)

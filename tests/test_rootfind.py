@@ -121,7 +121,7 @@ def test_spectral_web_non_finite_sample_is_a_failure(workers):
     re, im = np.linspace(0, 6, 12), np.linspace(0, 4, 12)
     bad = complex(re[2], im[3])
     web = s.spectral_web(_NonFiniteAt(bad), (0, 6, 0, 4), 12, 12, workers=workers)
-    assert [w for w, _ in web.failures] == [bad]
+    assert web.failures == [(bad, "NonFiniteRhs")]
     assert np.isnan(web.psi).sum() == 1 and np.isnan(web.psi[2, 3])
     assert [c.winding for c in web.charges] == [1]
 
