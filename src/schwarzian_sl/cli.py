@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import CATALOG, StabilityConfig, get_entry
-from .core import SchwarzianSLError, validate
+from .core import BoundaryKind, SchwarzianSLError, validate
 from .io import complex_columns, write_csv, write_json
 from .minimalist import solve_finite_interval
 from .mhd import (
@@ -102,17 +102,39 @@ def _approach(method: str) -> Approach:
     return Approach.PHI if method == "schwarzian-phi" else Approach.G
 
 
-def _tolerances(args: argparse.Namespace) -> Tolerances:
-    return Tolerances(rel=args.rel, abs=args.abs)
+def _resolve(args: argparse.Namespace, kind: str | None) -> tuple[Any, str]:
+    """Build the problem of ``args`` and check that its method fits it.
 
-
-def _check_method(entry_kind: str, method: str, finite: bool) -> None:
+    ``kind`` is the problem kind the command takes, "sl" or "stability"
+    (None: either).  The boundary conditions decide the method: a
+    schwarzian method needs Quantization at both ends, the minimalist phase
+    ratio values at two finite ends.  Stability problems and eigenfunction
+    export need a schwarzian method.  Returns (problem, method); a mismatch
+    is a ConfigError.
+    """
+    entry = get_entry(args.problem)
+    if kind and entry.kind != kind:
+        raise ConfigError(f"{args.command} takes {kind} problems; "
+                          f"{args.problem} is a {entry.kind} problem")
+    method = args.method or entry.default_method
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
-    if entry_kind == "stability" and method == "minimalist":
-        raise ConfigError("stability problems require a schwarzian method")
-    if method == "minimalist" and not finite:
-        raise ConfigError("the minimalist method needs a finite interval")
+    problem = entry.build(**_parse_params(args.param))
+    schwarzian_only = entry.kind == "stability" or args.command == "eigenfunction"
+    if method == "minimalist" and schwarzian_only:
+        raise ConfigError(f"{args.command} of {args.problem} needs a schwarzian method")
+    if entry.kind == "stability":
+        return problem, method
+    mismatch = [str(d) for d in validate(problem)]
+    d, ends = problem.domain, {spec.kind for spec in problem.boundaries}
+    if method == "minimalist":
+        if ends != {BoundaryKind.RATIO_VALUE} or math.isinf(d.lower) or math.isinf(d.upper):
+            mismatch.append("the minimalist method needs ratio values at two finite ends")
+    elif ends != {BoundaryKind.QUANTIZATION}:
+        mismatch.append(f"the {method} method needs Quantization at both ends")
+    if mismatch:
+        raise ConfigError(f"{problem.label}: " + "; ".join(mismatch))
+    return problem, method
 
 
 _NON_CONFIG_KEYS = ("func", "config", "out", "scan_out")  # artifact location,
@@ -162,31 +184,29 @@ def cmd_list(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solve_sl(args: argparse.Namespace, problem, method: str) -> int:
-    tol = _tolerances(args)
+def cmd_solve(args: argparse.Namespace) -> int:
+    problem, method = _resolve(args, "sl")
+    tol = Tolerances(rel=args.rel, abs=args.abs)
     lo, hi = _parse_floats(args.range, 2, "--range")
     if method == "minimalist":
         def winding(lam: complex) -> complex:
             return solve_finite_interval(problem, lam=lam, tol=tol) / (2 * math.pi)
     else:
-        # brackets come from the phase winding; the g method then polishes
-        # each root on its own quantization condition below
         def winding(lam: complex) -> complex:
             return phi_winding_value(problem, lam, tol)
 
     scan = scan_real(winding, (lo, hi), args.samples)
+    if scan.failures:
+        print(f"{len(scan.failures)} failed sample(s) at lambda = "
+              f"{[lam for lam, _ in scan.failures]}", file=sys.stderr)
     eigenvalues: list[complex] = [complex(c.eigenvalue) for c in scan.crossings]
     # the Phi winding of the state with n nodes is n + 1, and the asymptotic
     # targets count nodes; the finite-interval targets count from 1, as the
     # minimalist phase does
     ns = [c.n if method == "minimalist" else c.n - 1 for c in scan.crossings]
-    if method == "schwarzian-g":
-        # bracket on the phase winding, then polish on the g condition
-        polished = []
-        for ev in eigenvalues:
-            qf = lambda lam: g_difference_value(problem, lam, tol)
-            polished.append(refine_complex_root(qf, ev, tol=1e-10))
-        eigenvalues = polished
+    if method == "schwarzian-g":  # bracketed on the Phi winding, polished on g
+        g_value = lambda lam: g_difference_value(problem, lam, tol)
+        eigenvalues = [refine_complex_root(g_value, ev, tol=1e-10) for ev in eigenvalues]
 
     print(f"{problem.label}: {len(eigenvalues)} eigenvalue(s) in ({lo}, {hi})")
     for n, ev in zip(ns, eigenvalues):
@@ -209,23 +229,6 @@ def _solve_sl(args: argparse.Namespace, problem, method: str) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    entry = get_entry(args.problem)
-    params = _parse_params(args.param)
-    built = entry.build(**params)
-    method = args.method or entry.default_method
-    if entry.kind == "stability":
-        raise ConfigError("use the web/dispersion commands for stability problems")
-    diagnostics = validate(built)
-    if diagnostics:
-        for d in diagnostics:
-            print(d, file=sys.stderr)
-        return EXIT_CONFIG
-    finite = math.isfinite(built.domain.lower) and math.isfinite(built.domain.upper)
-    _check_method(entry.kind, method, finite)
-    return _solve_sl(args, built, method)
-
-
 def _stability_qf(
     config: StabilityConfig, method: str, args: argparse.Namespace
 ) -> JetQuantizationFunction:
@@ -242,12 +245,7 @@ def _stability_qf(
 
 
 def cmd_web(args: argparse.Namespace) -> int:
-    entry = get_entry(args.problem)
-    if entry.kind != "stability":
-        raise ConfigError("the web command expects a stability problem")
-    method = args.method or entry.default_method
-    _check_method(entry.kind, method, finite=False)
-    config = entry.build(**_parse_params(args.param))
+    config, method = _resolve(args, "stability")
     region = _parse_floats(args.region, 4, "--region")
     nx, ny = _parse_grid(args.grid)
     qf = _stability_qf(config, method, args)
@@ -287,15 +285,11 @@ def cmd_web(args: argparse.Namespace) -> int:
 
 
 def cmd_eigenfunction(args: argparse.Namespace) -> int:
-    entry = get_entry(args.problem)
-    params = _parse_params(args.param)
-    built = entry.build(**params)
-    method = args.method or entry.default_method
-    tol = _tolerances(args)
+    built, method = _resolve(args, None)
+    tol = Tolerances(rel=args.rel, abs=args.abs)
     eigenvalue = complex(args.eigenvalue)
-    if entry.kind == "stability":
-        _check_method(entry.kind, method, finite=False)
-        approach = _approach(method)
+    approach = _approach(method)
+    if isinstance(built, StabilityConfig):
         inward, outward = jet_trajectories(
             built.model.equilibrium(), built.m, built.k, eigenvalue, approach,
             start=built.model.radius, tol=tol,
@@ -309,9 +303,6 @@ def cmd_eigenfunction(args: argparse.Namespace) -> int:
         payload = {"r": samples.rs, "y1": samples.y1, "y2": samples.y2, "Y": samples.Y}
         _emit(args, meta, columns, payload)
         return EXIT_OK
-    if method == "minimalist":
-        raise ConfigError("eigenfunction export needs a schwarzian method")
-    approach = _approach(method)
     low, high, _ = solve_asymptotic(
         built, eigenvalue, approach, tol, store_path=True
     )
@@ -335,16 +326,10 @@ def cmd_eigenfunction(args: argparse.Namespace) -> int:
 
 
 def cmd_dispersion(args: argparse.Namespace) -> int:
-    entry = get_entry(args.problem)
-    if entry.kind != "stability":
-        raise ConfigError("the dispersion command expects a stability problem")
-    method = args.method or entry.default_method
-    _check_method(entry.kind, method, finite=False)
-    params = _parse_params(args.param)
+    base, method = _resolve(args, "stability")
     lo, hi, n = _parse_floats(args.kgrid, 3, "--kgrid")
     k_grid = np.linspace(lo, hi, int(n))
     region = _parse_floats(args.region, 4, "--region")
-    base = entry.build(**params)
     qf = _stability_qf(base, method, args)
 
     def family(k: float) -> JetQuantizationFunction:

@@ -38,7 +38,6 @@ class NoConvergence(SchwarzianSLError):
 
 @dataclass(frozen=True)
 class Crossing:
-    bracket: tuple[float, float]
     n: int
     eigenvalue: float
 
@@ -95,7 +94,7 @@ def scan_real(
             a, b = float(grid[i]), float(grid[i + 1])
             fa, fb = v0 - n, v1 - n
             if fa == 0.0:
-                crossings.append(Crossing((a, b), n, a))
+                crossings.append(Crossing(n, a))
                 continue
             if fa * fb > 0.0:
                 continue
@@ -110,7 +109,7 @@ def scan_real(
             except SchwarzianSLError as exc:
                 failures.append((mid, str(exc)))
                 continue
-            crossings.append(Crossing((float(grid[i]), float(grid[i + 1])), n, 0.5 * (a + b)))
+            crossings.append(Crossing(n, 0.5 * (a + b)))
     return RealScan(grid=grid, values=values, crossings=crossings, failures=failures)
 
 
@@ -190,7 +189,8 @@ def spectral_web(
     The samples split into ``workers`` contiguous chunks, one process each
     (this one for a single chunk), evaluated by ``qf.lanes(samples) ->
     (values, failure kinds)`` when qf offers that lane-batched form, else
-    one qf call each.  A failed sample records the name of its error.
+    one qf call each.  A failed sample records the name of its error, or
+    NonFiniteValue for a NaN or infinite value returned without one.
 
     A plaquette is charged when the wrapped phase differences around its
     four edges do not cancel (|sum| > pi); adjacent charged plaquettes of
@@ -210,8 +210,13 @@ def spectral_web(
             parts = list(pool.map(_eval_chunk, [qf] * len(chunks), chunks))
     values = np.concatenate([p[0] for p in parts])
     kinds = [kind for p in parts for kind in p[1]]
-    failures = [(complex(w), kind) for w, kind in zip(ww, kinds) if kind is not None]
-    psi = np.angle(values).reshape(nx, ny)
+    finite = np.isfinite(values)  # NaN or inf without an error fails too
+    failures = [
+        (complex(w), kind or "NonFiniteValue")
+        for w, kind, ok in zip(ww, kinds, finite)
+        if kind is not None or not ok
+    ]
+    psi = np.where(finite, np.angle(values), np.nan).reshape(nx, ny)
 
     d_re = _wrap_array(np.diff(psi, axis=0))  # (nx-1, ny)
     d_im = _wrap_array(np.diff(psi, axis=1))  # (nx, ny-1)
@@ -337,7 +342,6 @@ def dispersion_scan(
     nx: int = 64,
     ny: int = 64,
     workers: int = 1,
-    refine_tol: float = 1e-10,
 ) -> list[DispersionPoint]:
     """Track the most unstable root along a wavenumber grid.
 
@@ -369,7 +373,7 @@ def dispersion_scan(
                 seed = w1 + (w1 - w0) * (k - k1) / (k1 - k0)
                 hop = abs(w1 - w0)
             try:
-                found = refine_complex_root(qf, seed, refine_tol, slope=w1.slope)
+                found = refine_complex_root(qf, seed, slope=w1.slope)
                 if abs(found - seed) <= hop:
                     root, method = found, "continuation"
             except SchwarzianSLError:
@@ -389,7 +393,7 @@ def dispersion_scan(
             if roots:
                 seed = max(roots, key=lambda c: c.location.imag).location
                 try:
-                    root = refine_complex_root(qf, seed, refine_tol)
+                    root = refine_complex_root(qf, seed)
                 except SchwarzianSLError:
                     pass
         points.append(DispersionPoint(

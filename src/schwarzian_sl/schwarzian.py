@@ -257,23 +257,15 @@ def solve_asymptotic(
 
 
 def phi_winding_value(
-    problem: SLProblem,
-    lam: complex,
-    tol: Tolerances = Tolerances(),
-    launch: Sequence[complex] | None = None,
-    decay: float = DEFAULT_DECAY,
+    problem: SLProblem, lam: complex, tol: Tolerances = Tolerances()
 ) -> complex:
-    return solve_asymptotic(problem, lam, Approach.PHI, tol, launch, decay)[2]
+    return solve_asymptotic(problem, lam, Approach.PHI, tol)[2]
 
 
 def g_difference_value(
-    problem: SLProblem,
-    lam: complex,
-    tol: Tolerances = Tolerances(),
-    launch: Sequence[complex] | None = None,
-    decay: float = DEFAULT_DECAY,
+    problem: SLProblem, lam: complex, tol: Tolerances = Tolerances()
 ) -> complex:
-    return solve_asymptotic(problem, lam, Approach.G, tol, launch, decay)[2]
+    return solve_asymptotic(problem, lam, Approach.G, tol)[2]
 
 
 def branch_tracked_sqrt(values: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,10 +129,47 @@ def test_cli_unknown_problem_is_config_error():
     assert main(["solve", "--problem", "unobtainium"]) == 2
 
 
-def test_cli_method_problem_compatibility():
+def test_cli_method_problem_compatibility(tmp_path, capsys):
     assert main(["solve", "--problem", "morse", "--method", "minimalist"]) == 2
     assert main(["web", "--problem", "morse", "--region", "0,1,0,1"]) == 2
     assert main(["solve", "--problem", "cohn"]) == 2
+    # paine's ends are finite and carry ratio values, not Quantization
+    assert main(["solve", "--problem", "paine", "--method", "schwarzian-phi",
+                 "--range", "1,20", "--samples", "20"]) == 2
+    assert main(["eigenfunction", "--problem", "paine", "--method", "schwarzian-g",
+                 "--eigenvalue", "1.52"]) == 2
+    assert main(["dispersion", "--problem", "morse", "--kgrid", "1,2,2",
+                 "--region", "0,1,0,1"]) == 2
+    # a config file bypasses the argparse choices
+    config = tmp_path / "bogus.json"
+    config.write_text(json.dumps({"method": "bogus"}))
+    assert main(["--config", str(config), "solve", "--problem", "morse"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == ["error"] * 7
+
+
+def test_cli_solve_reports_failed_samples(monkeypatch, tmp_path, capsys):
+    import schwarzian_sl.cli as cli
+
+    phi_winding_value = cli.phi_winding_value
+
+    def stalls_above_19(problem, lam, tol):
+        if 19.0 < lam.real < 19.5:
+            raise s.StepFailure(f"stalled at lambda={lam.real}")
+        return phi_winding_value(problem, lam, tol)
+
+    argv = ["solve", "--problem", "morse", "--range", "18,20", "--samples", "16"]
+    assert main(argv + ["--out", str(tmp_path / "clean.csv")]) == 0
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    monkeypatch.setattr(cli, "phi_winding_value", stalls_above_19)
+    assert main(argv + ["--out", str(tmp_path / "failed.csv")]) == 0
+    failed = capsys.readouterr()
+    assert failed.err.startswith("4 failed sample(s) at lambda = [19.0625, ")
+    assert failed.out == clean.out.replace("clean.csv", "failed.csv")
+    assert "18.75" in failed.out
+    assert (tmp_path / "failed.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
 
 
 def test_cli_numerical_failure_exit_code():
@@ -303,3 +342,32 @@ def test_cli_threads_default_to_one_process(monkeypatch):
         assert main(argv) == 0
         assert main(argv + ["--threads", "2"]) == 0
     assert seen == [1, 2, 1, 2]
+
+
+class _Resolved(Exception):
+    """Stops a command right after its front end accepted the problem."""
+
+
+def test_readme_commands_pass_the_front_end(monkeypatch):
+    import schwarzian_sl.cli as cli
+
+    resolve = cli._resolve
+
+    def resolve_only(args, kind):
+        resolve(args, kind)
+        raise _Resolved
+
+    monkeypatch.setattr(cli, "_resolve", resolve_only)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert all(line[0] == "schwarzian-sl" for line in lines)
+    commands = [line[1] for line in lines]
+    assert {"solve", "web", "eigenfunction", "dispersion"} <= set(commands)
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(line[1:])
+        if args.command != "list":
+            with pytest.raises(_Resolved):
+                args.func(args)

@@ -116,6 +116,20 @@ class _NonFiniteAt:
         return w - (4 + 3j)
 
 
+class _NanNear:
+    """Picklable w - (4 + 3j) that returns NaN, without raising, near 1+1j."""
+
+    def __call__(self, w: complex) -> complex:
+        return complex("nan") if abs(w - (1 + 1j)) < 0.5 else w - (4 + 3j)
+
+
+class _NanNearLanes(_NanNear):
+    """The same values through the lane-batched form, with no failure kinds."""
+
+    def lanes(self, samples):
+        return np.array([self(w) for w in samples.tolist()]), [None] * samples.size
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_spectral_web_non_finite_sample_is_a_failure(workers):
     re, im = np.linspace(0, 6, 12), np.linspace(0, 4, 12)
@@ -124,6 +138,14 @@ def test_spectral_web_non_finite_sample_is_a_failure(workers):
     assert web.failures == [(bad, "NonFiniteRhs")]
     assert np.isnan(web.psi).sum() == 1 and np.isnan(web.psi[2, 3])
     assert [c.winding for c in web.charges] == [1]
+    # a NaN returned without an error fails its sample on both paths
+    near = [complex(x, y) for x in re for y in im if abs(complex(x, y) - (1 + 1j)) < 0.5]
+    for qf in (_NanNear(), _NanNearLanes()):
+        web = s.spectral_web(qf, (0, 6, 0, 4), 12, 12, workers=workers)
+        assert len(near) == 4
+        assert web.failures == [(w, "NonFiniteValue") for w in near]
+        assert np.isnan(web.psi).sum() == 4
+        assert [c.winding for c in web.charges] == [1]
 
 
 def test_refine_complex_root_exact_seed():
