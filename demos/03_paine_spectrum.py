@@ -14,11 +14,8 @@ import schwarzian_sl as s
 problem = s.paine()
 tol = s.Tolerances(rel=1e-10, abs=1e-12)
 
-scan = s.scan_real(
-    lambda lam: s.solve_finite_interval(problem, lam=lam, tol=tol) / (2 * math.pi),
-    (0.0, 200.0),
-    260,
-)
+# Phi(pi)/2pi; the scan evaluates its whole grid as one lane-batched integration
+scan = s.scan_real(s.FiniteIntervalWinding(problem, tol), (0.0, 200.0), 260)
 
 published = [t.value.real for t in s.CATALOG["paine"].paper_targets]
 erratum = {6, 7, 8, 9, 12, 13, 14}  # published entries off by more than a unit

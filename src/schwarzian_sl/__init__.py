@@ -29,6 +29,7 @@ from .integrate import (
 )
 from .minimalist import (
     DEFAULT_GAUGE,
+    FiniteIntervalWinding,
     PhiSubstitution,
     ZeroGauge,
     phase_system,

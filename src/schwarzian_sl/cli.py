@@ -23,7 +23,7 @@ from . import __version__
 from .catalog import CATALOG, StabilityConfig, get_entry
 from .core import BoundaryKind, SchwarzianSLError, validate
 from .io import complex_columns, write_csv, write_json
-from .minimalist import solve_finite_interval
+from .minimalist import FiniteIntervalWinding
 from .mhd import (
     DEFAULT_CUTS,
     JetQuantizationFunction,
@@ -188,9 +188,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     problem, method = _resolve(args, "sl")
     tol = Tolerances(rel=args.rel, abs=args.abs)
     lo, hi = _parse_floats(args.range, 2, "--range")
-    if method == "minimalist":
-        def winding(lam: complex) -> complex:
-            return solve_finite_interval(problem, lam=lam, tol=tol) / (2 * math.pi)
+    if method == "minimalist":  # its grid runs as lanes
+        winding = FiniteIntervalWinding(problem, tol)
     else:
         def winding(lam: complex) -> complex:
             return phi_winding_value(problem, lam, tol)

@@ -16,7 +16,7 @@ from typing import Callable
 
 CoefficientFunction = Callable[[float, complex], complex]
 
-_P_FLOOR = 1e-280  # |p| below this counts as a zero coefficient
+P_FLOOR = 1e-280  # |p| below this counts as a zero coefficient
 
 
 class SchwarzianSLError(Exception):
@@ -41,7 +41,7 @@ class Coefficients:
 
     def p_checked(self, x: float, lam: complex) -> complex:
         value = self.p(x, lam)
-        if abs(value) < _P_FLOOR:
+        if abs(value) < P_FLOOR:
             raise ZeroCoefficient(f"p({x}, {lam}) = {value}")
         return value
 

@@ -76,7 +76,7 @@ class Tolerances:
 class OdeSystem:
     dimension: int
     rhs: RhsFunction
-    # the same rhs over lanes: x (n,), y (dim, n), lam (n,) -> f, singular (n,)
+    # the same rhs over lanes: x (n,), y (dim, n), lam (..., n) -> f, singular (n,)
     lanes: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
 
 
@@ -343,21 +343,22 @@ def integrate_lanes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`integrate` from x0 to x1 once per parameter in ``lam``, as lanes.
 
-    Lane j starts from y0 ((dim,), or (dim, n) per lane) with lam[j] and
-    takes the steps `integrate` takes, with its own x, h, PI-controller
+    Lane j starts from y0 ((dim,), or (dim, n) per lane) with lam[..., j]
+    and takes the steps `integrate` takes, with its own x, h, PI-controller
     memory and step budget (Hairer, Norsett and Wanner, *Solving ODEs I*,
-    section II.4); it leaves the batch when it ends.  ``sys.lanes`` maps x
-    (n,), y (dim, n) and lam (n,) to f (dim, n) and a mask of lanes where
-    the rhs is singular.  Returns the terminal x (n,) and y (dim, n), and
-    per lane None when it reached x1, else the error that ended it:
-    NonFiniteRhs at the launch, SingularSurface where the rhs was singular,
-    or StepFailure for a stall (whose terminal state is the last accepted
-    one).
+    section II.4); it leaves the batch when it ends.  ``lam`` is (n,), or
+    (k, n) for k parameters per lane, lane axis last.  ``sys.lanes`` maps
+    x (n,), y (dim, n) and the live lanes' lam to f (dim, n) and a mask of
+    lanes where the rhs is singular.  Returns the terminal x (n,) and y
+    (dim, n), and per lane None when it reached x1, else the error that
+    ended it: NonFiniteRhs at the launch, SingularSurface where the rhs
+    was singular, or StepFailure for a stall (whose terminal state is the
+    last accepted one).
     """
     if x0 == x1:
         raise ValueError("x0 and x1 must differ")
-    lam = np.asarray(lam, dtype=complex).ravel()
-    rhs, dim, n = sys.lanes, sys.dimension, lam.size
+    lam = np.asarray(lam, dtype=complex)
+    rhs, dim, n = sys.lanes, sys.dimension, lam.shape[-1]
     y = np.empty((dim, n), dtype=complex)
     y[...] = np.asarray(y0, dtype=complex).reshape(dim, -1)
     x = np.full(n, float(x0))

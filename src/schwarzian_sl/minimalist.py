@@ -14,8 +14,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Coefficients, SLProblem, ZeroCoefficient, default_fd_step
-from .integrate import OdeSystem, Tolerances, integrate, raise_if_stalled
+import numpy as np
+
+from .core import P_FLOOR, SLProblem, ZeroCoefficient, default_fd_step
+from .integrate import (
+    OdeSystem,
+    SingularSurface,
+    Tolerances,
+    integrate,
+    integrate_lanes,
+    raise_if_stalled,
+)
 
 GaugeFunction = Callable[[float], complex]
 
@@ -69,6 +78,12 @@ DEFAULT_GAUGE = PhiSubstitution()  # F1 = 0, F2 = 1, the simplest choice
 _GAUGE_SAMPLES = 64
 
 
+def _gauge_points(problem: SLProblem) -> np.ndarray:
+    """The midpoints of _GAUGE_SAMPLES equal cells of the interval."""
+    lo, hi = problem.domain.lower, problem.domain.upper
+    return lo + (np.arange(_GAUGE_SAMPLES) + 0.5) * ((hi - lo) / _GAUGE_SAMPLES)
+
+
 def scaled_gauge(problem: SLProblem, lam: complex) -> PhiSubstitution:
     """Scaled Pruefer gauge F1 = 0, F2 = kappa, constant in x.
 
@@ -79,13 +94,14 @@ def scaled_gauge(problem: SLProblem, lam: complex) -> PhiSubstitution:
     so eigenvalue crossings do not depend on kappa.
     """
     c = problem.coefficients
-    lo, hi = problem.domain.lower, problem.domain.upper
-    width = (hi - lo) / _GAUGE_SAMPLES
     total = 0.0
-    for i in range(_GAUGE_SAMPLES):
-        x = lo + (i + 0.5) * width
+    for x in _gauge_points(problem).tolist():
         total += (c.q(x, lam) / c.p_checked(x, lam)).real
-    kappa = complex(math.sqrt(max(total / _GAUGE_SAMPLES, 1.0)))
+    return _constant_gauge(complex(math.sqrt(max(total / _GAUGE_SAMPLES, 1.0))))
+
+
+def _constant_gauge(kappa: complex) -> PhiSubstitution:
+    """F1 = 0, F2 = kappa, constant in x."""
 
     def f2(x: float) -> complex:
         return kappa
@@ -105,6 +121,17 @@ def riccati_system(problem: SLProblem) -> OdeSystem:
     return OdeSystem(dimension=1, rhs=rhs)
 
 
+def _phase_rhs(p, q, f1, f2, d1, d2, phi, sin=cmath.sin, cos=cmath.cos):
+    """Phi' from p, q and the gauge values (F1, F2, F1', F2') at one point;
+    lanes pass arrays with np.sin and np.cos."""
+    pf2 = p * f2
+    base = p * q + p * d1 + f1 * f1
+    a = (2.0 * f1 * f2 + p * d2) / pf2
+    b = (base - f2 * f2) / pf2
+    const = (base + f2 * f2) / pf2
+    return a * sin(phi) - b * cos(phi) + const
+
+
 def phase_system(problem: SLProblem, sub: PhiSubstitution = DEFAULT_GAUGE) -> OdeSystem:
     """Phase equation for the substituted variable:
 
@@ -113,24 +140,27 @@ def phase_system(problem: SLProblem, sub: PhiSubstitution = DEFAULT_GAUGE) -> Od
          + (p q + p F1' + F1^2 + F2^2)/(p F2)
 
     which passes smoothly through the points where f = 0.
+
+    The lane form runs every lane in a gauge of its own that is constant in
+    x, F1 = 0 and F2 = kappa (the scaled gauge), in place of ``sub``: its
+    parameter stacks lam (n,) over kappa (n,).  Lanes where p vanishes are
+    marked singular.  p and q then take arrays of x and lam.
     """
-    p_checked = problem.coefficients.p_checked
-    q_fn = problem.coefficients.q
+    c = problem.coefficients
+    p_fn, p_checked, q_fn = c.p, c.p_checked, c.q
     values = sub.values
 
     def rhs(x: float, y: tuple[complex, ...], lam: complex) -> tuple[complex]:
-        p = p_checked(x, lam)
-        q = q_fn(x, lam)
         f1, f2, d1, d2 = values(x)
-        pf2 = p * f2
-        base = p * q + p * d1 + f1 * f1
-        a = (2.0 * f1 * f2 + p * d2) / pf2
-        b = (base - f2 * f2) / pf2
-        const = (base + f2 * f2) / pf2
-        phi = y[0]
-        return (a * cmath.sin(phi) - b * cmath.cos(phi) + const,)
+        return (_phase_rhs(p_checked(x, lam), q_fn(x, lam), f1, f2, d1, d2, y[0]),)
 
-    return OdeSystem(dimension=1, rhs=rhs)
+    def lanes(x: np.ndarray, y: np.ndarray, params: np.ndarray):
+        lam, kappa = params
+        p = p_fn(x, lam)
+        phi = _phase_rhs(p, q_fn(x, lam), 0.0, kappa, 0.0, 0.0, y[0], np.sin, np.cos)
+        return phi[None, :], np.broadcast_to(np.abs(p) < P_FLOOR, x.shape)
+
+    return OdeSystem(dimension=1, rhs=rhs, lanes=lanes)
 
 
 def phi_from_ratio_bc(
@@ -138,13 +168,15 @@ def phi_from_ratio_bc(
 ) -> complex:
     """Convert a boundary value F = f_bc at x into a Phi value.
 
-    F = infinity (f = 0 there) maps to Phi = 0 exactly; otherwise
-    cot(Phi/2) = (F - F1)/F2 on the principal branch.
+    F = infinity (f = 0 there) maps to Phi = 0 exactly, F = F1 to
+    Phi = pi; otherwise cot(Phi/2) = (F - F1)/F2 on the principal branch.
     """
     if cmath.isinf(f_bc):
         return 0j
     f1, f2, _, _ = sub.values(x)
     t = (f_bc - f1) / f2
+    if t == 0:
+        return complex(math.pi)
     # arccot on the principal branch
     return 2.0 * cmath.atan(1.0 / t)
 
@@ -187,3 +219,50 @@ def solve_finite_interval(
     )
     raise_if_stalled(traj)
     return traj.y_end[0]
+
+
+@dataclass(frozen=True)
+class FiniteIntervalWinding:
+    """lam -> Phi(upper)/2pi of the minimalist phase in the scaled gauge,
+    for a problem with ratio values at two finite ends: its crossings of
+    the integers n are the eigenvalues (Phi(upper) = 2 n pi)."""
+
+    problem: SLProblem
+    tol: Tolerances = Tolerances()
+
+    def __call__(self, lam: complex) -> complex:
+        return solve_finite_interval(self.problem, lam=lam, tol=self.tol) / (2 * math.pi)
+
+    def lanes(self, lams: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+        """`__call__` at many lam, as one lane-batched integration: the values
+        (NaN where an evaluation failed) and per lam None or the name of the
+        error `__call__` raises there.
+
+        Each lane gets the kappa of ``scaled_gauge`` (the same midpoints,
+        summed in the same order) and the start phase of the lower ratio
+        value in that gauge; p and q must take arrays of x and lam.
+        """
+        problem, d, c = self.problem, self.problem.domain, self.problem.coefficients
+        if not (abs(d.lower) < float("inf") and abs(d.upper) < float("inf")):
+            raise ValueError("solve_finite_interval needs a finite interval")
+        f_bc = problem.boundaries[0].f_bc
+        if f_bc is None:
+            raise ValueError("lower boundary does not define a starting phase")
+        lam = np.asarray(lams, dtype=complex)
+        xs = _gauge_points(problem)[:, None]
+        with np.errstate(all="ignore"):
+            p = np.broadcast_to(c.p(xs, lam), (xs.size, lam.size))
+            total = (c.q(xs, lam) / p).real.sum(axis=0)  # row by row, as the loop
+            kappa = np.sqrt(np.maximum(total / _GAUGE_SAMPLES, 1.0)) + 0j
+        phi_start = [phi_from_ratio_bc(problem, _constant_gauge(k), d.lower, f_bc)
+                     for k in kappa.tolist()]
+        zero_p = (np.abs(p) < P_FLOOR).any(axis=0)
+        _, y, failure = integrate_lanes(
+            phase_system(problem), d.lower, d.upper, phi_start,
+            np.stack([lam, kappa]), self.tol)
+        # the phase rhs is singular only where p vanishes, which the scalar
+        # path raises as ZeroCoefficient, as it does a zero p at a midpoint
+        failure[zero_p | (failure == SingularSurface)] = ZeroCoefficient
+        values = y[0] / (2 * math.pi)
+        values[failure.astype(bool)] = np.nan
+        return values, [None if f is None else f.__name__ for f in failure]

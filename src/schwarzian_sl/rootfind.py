@@ -1,7 +1,8 @@
 """Eigenvalue location.
 
 Real spectra: sample the winding value of the quantization condition on a
-grid, bracket its crossings through integers and refine by bisection.
+grid, lane-batched where the winding offers it, bracket its crossings
+through integers and refine each by ITP (interpolate, truncate, project).
 
 Complex spectra (stability): map Psi = Arg[quantization function] on a
 rectangular grid of the eigenvalue plane -- the Spectral Web.  Roots of the
@@ -13,6 +14,7 @@ then polished by complex secant iteration.
 
 from __future__ import annotations
 
+import cmath
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,6 +27,10 @@ from .core import SchwarzianSLError
 QuantizationFunction = Callable[[complex], complex]
 
 _TWO_PI = 2.0 * math.pi
+
+
+class NonFiniteValue(SchwarzianSLError):
+    """A quantization function returned NaN or inf without raising."""
 
 
 class NoConvergence(SchwarzianSLError):
@@ -64,24 +70,36 @@ def scan_real(
 
     The grid is cell-centered inside ``lam_range`` so open-interval ranges
     (for instance ones whose endpoint would degenerate the launch state)
-    are sampled safely.  Failed samples are recorded and skipped; a failure
-    at a bisection midpoint is recorded and drops that crossing.
+    are sampled safely.  It is evaluated as `spectral_web` evaluates its
+    samples: by one ``qf.lanes(samples) -> (values, failure kinds)`` call
+    when qf offers that lane-batched form, else one qf call each.  A
+    failed sample records the name of its error, or NonFiniteValue for a
+    NaN or infinite value returned without one, and is skipped.
+
+    Each bracketed crossing is refined by ITP (`_itp`) on scalar calls of
+    qf until the bracket is at most ``rel_width`` times its larger end in
+    magnitude; the midpoint of that bracket, or a point where the winding
+    is exactly the integer, is the eigenvalue.  A failure there is
+    recorded the same way and drops that crossing.
     """
     lo, hi = lam_range
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     width = (hi - lo) / n_samples
     grid = lo + (np.arange(n_samples) + 0.5) * width
-    values = np.full(n_samples, np.nan)
-    failures: list[tuple[float, str]] = []
-    for i, lam in enumerate(grid):
-        try:
-            values[i] = complex(qf(complex(lam))).real
-        except SchwarzianSLError as exc:
-            failures.append((float(lam), str(exc)))
+    values, kinds = _eval_chunk(qf, grid + 0j)
+    finite, failures = _sample_failures(grid.tolist(), values, kinds)
+    values = np.where(finite, values.real, np.nan)
 
-    def winding(lam: float) -> float:
-        return complex(qf(complex(lam))).real
+    def winding(lam: float) -> float:  # records its failure, then raises it
+        try:
+            value = complex(qf(complex(lam)))
+            if not cmath.isfinite(value):
+                raise NonFiniteValue(f"winding {value} at lambda = {lam}")
+        except SchwarzianSLError as exc:
+            failures.append((lam, type(exc).__name__))
+            raise
+        return value.real
 
     crossings: list[Crossing] = []
     for i in range(n_samples - 1):
@@ -99,18 +117,58 @@ def scan_real(
             if fa * fb > 0.0:
                 continue
             try:
-                while b - a > rel_width * max(abs(a), abs(b), 1e-30):
-                    mid = 0.5 * (a + b)
-                    fm = winding(mid) - n
-                    if fa * fm <= 0.0:
-                        b = mid
-                    else:
-                        a, fa = mid, fm
-            except SchwarzianSLError as exc:
-                failures.append((mid, str(exc)))
+                root = _itp(lambda lam: winding(lam) - n, a, b, fa, fb, rel_width)
+            except SchwarzianSLError:
                 continue
-            crossings.append(Crossing(n, 0.5 * (a + b)))
+            crossings.append(Crossing(n, root))
     return RealScan(grid=grid, values=values, crossings=crossings, failures=failures)
+
+
+# ITP constants (Oliveira and Takahashi, ACM TOMS 47(1), 2020, art. 5):
+# kappa1 = _ITP_K1 / (width of the first bracket), kappa2 and n0
+_ITP_K1 = 0.2
+_ITP_K2 = 2.0
+_ITP_N0 = 1
+
+
+def _itp(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+    rel_width: float,
+) -> float:
+    """A root of f in [a, b], where fa = f(a) and fb = f(b) have opposite
+    signs, by the ITP method (interpolate, truncate, project).
+
+    Each step evaluates f at the regula falsi point moved toward the
+    midpoint by kappa1 (b - a)^kappa2 and kept within a radius of the
+    midpoint, so that after j steps the bracket is no wider than
+    bisection's after j - n0: no crossing takes more than n0 steps beyond
+    bisection's count, and smooth brackets converge superlinearly.  (The
+    paper's radius eps 2^(n_max - j) - (b - a)/2 with eps 2^(n_1/2) set to
+    half the first width, so the bound holds for a stop width that shrinks
+    with the bracket.)  Stops once b - a <= rel_width max(|a|, |b|) and
+    returns the midpoint, or returns a point where f is exactly 0.
+    """
+    width = b - a
+    k1 = _ITP_K1 / width
+    j = 0
+    while b - a > rel_width * max(abs(a), abs(b), 1e-30):
+        mid = 0.5 * (a + b)
+        # after j steps the bracket is at most bisection's after j - n0
+        radius = max(0.5 * (width * 2.0 ** (_ITP_N0 - j) - (b - a)), 0.0)
+        delta = k1 * (b - a) ** _ITP_K2
+        x_f = (fb * a - fa * b) / (fb - fa)
+        sigma = 1.0 if mid > x_f else -1.0
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fa > 0.0):
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+        j += 1
+    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -177,6 +235,21 @@ def _eval_chunk(
     return values, kinds
 
 
+def _sample_failures(
+    samples: list, values: np.ndarray, kinds: list[str | None]
+) -> tuple[np.ndarray, list]:
+    """The finite-value mask of `_eval_chunk`'s output, and (sample, kind)
+    for each failed sample: the name of its error, or NonFiniteValue for a
+    NaN or inf returned without one."""
+    finite = np.isfinite(values)
+    failures = [
+        (w, kind or NonFiniteValue.__name__)
+        for w, kind, ok in zip(samples, kinds, finite.tolist())
+        if kind is not None or not ok
+    ]
+    return finite, failures
+
+
 def spectral_web(
     qf: QuantizationFunction,
     region: tuple[float, float, float, float],
@@ -210,12 +283,7 @@ def spectral_web(
             parts = list(pool.map(_eval_chunk, [qf] * len(chunks), chunks))
     values = np.concatenate([p[0] for p in parts])
     kinds = [kind for p in parts for kind in p[1]]
-    finite = np.isfinite(values)  # NaN or inf without an error fails too
-    failures = [
-        (complex(w), kind or "NonFiniteValue")
-        for w, kind, ok in zip(ww, kinds, finite)
-        if kind is not None or not ok
-    ]
+    finite, failures = _sample_failures(ww.tolist(), values, kinds)
     psi = np.where(finite, np.angle(values), np.nan).reshape(nx, ny)
 
     d_re = _wrap_array(np.diff(psi, axis=0))  # (nx-1, ny)

@@ -1,8 +1,11 @@
+import argparse
 import math
 
+import numpy as np
 import pytest
 
 import schwarzian_sl as s
+from schwarzian_sl import cli
 
 from conftest import assert_close
 
@@ -98,3 +101,25 @@ def test_problem_from_json_stability_passthrough():
 def test_problem_from_json_unknown_name():
     with pytest.raises(KeyError):
         s.problem_from_json({"problem": {"name": "nope"}})
+
+
+def test_minimalist_entries_take_array_coefficients():
+    # the minimalist winding evaluates its scan grid as lanes, calling p and
+    # q on arrays of x and lam; every entry the method accepts must allow it
+    accepted = []
+    for name, entry in s.CATALOG.items():
+        args = argparse.Namespace(command="solve", problem=name, method="minimalist",
+                                  param=None)
+        try:
+            problem, _ = cli._resolve(args, "sl")
+        except cli.ConfigError:
+            continue
+        accepted.append(name)
+        d, c = problem.domain, problem.coefficients
+        xs = np.linspace(d.lower, d.upper, 7)[:, None]
+        lams = np.array([0.5, 3.0 + 1.0j, 150.0])
+        for fn in (c.p, c.q):
+            lanes = np.broadcast_to(fn(xs, lams), (xs.size, lams.size))
+            scalar = [[fn(x, lam) for lam in lams.tolist()] for x in xs[:, 0].tolist()]
+            assert np.array_equal(lanes, np.array(scalar, dtype=complex)), name
+    assert "paine" in accepted

@@ -136,3 +136,58 @@ def test_stalled_phase_is_a_failed_scan_sample(paine_problem):
     )
     assert len(scan.failures) == 4
     assert scan.crossings == []
+
+
+def _paine_with_lower_ratio(f_bc):
+    return s.problem_from_json({
+        "problem": {"name": "paine"},
+        "boundaries": [{"kind": "ratio", "f_bc": f_bc}, {"kind": "ratio", "f_bc": "inf"}],
+    })
+
+
+@pytest.mark.parametrize("f_bc", ["inf", 2.0, [-0.5, 1.5], 0.0])
+def test_winding_lanes_match_scalar_calls(paine_problem, f_bc):
+    # a finite lower ratio value gives each lane its own start phase, and
+    # F = 0 (f' = 0) starts both paths at Phi = pi
+    problem = paine_problem if f_bc == "inf" else _paine_with_lower_ratio(f_bc)
+    winding = s.FiniteIntervalWinding(problem, s.Tolerances(rel=1e-9, abs=1e-11))
+    lams = 0.0 + (np.arange(0, 200, 5) + 0.5) + 0j  # every fifth Paine grid point
+    values, kinds = winding.lanes(lams)
+    assert kinds == [None] * lams.size
+    scalar = np.array([winding(lam) for lam in lams.tolist()])
+    assert np.abs(values - scalar).max() <= 1e-9
+
+
+def test_winding_lane_where_p_vanishes_is_a_zero_coefficient():
+    # p = lam - 3 vanishes at every gauge midpoint for lam = 3; p = 0 only at
+    # the launch point x = 0 for lam > 5
+    def p(x, lam):
+        return (lam - 3.0) * (((x != 0) | (lam.real < 5)) * 1.0)
+
+    problem = s.SLProblem(
+        coefficients=s.Coefficients(p=p, q=lambda x, lam: lam + 0.0 * x),
+        domain=s.Domain(0.0, math.pi, start=1.0, lower_cut=0.0, upper_cut=math.pi),
+        boundaries=(s.BoundarySpec.ratio(float("inf")), s.BoundarySpec.ratio(float("inf"))),
+    )
+    winding = s.FiniteIntervalWinding(problem)
+    lams = np.array([2.0, 3.0, 4.0, 7.0], dtype=complex)
+    values, kinds = winding.lanes(lams)
+    assert kinds == [None, "ZeroCoefficient", None, "ZeroCoefficient"]
+    assert np.isnan(values[[1, 3]]).all()
+    for lam, value, kind in zip(lams.tolist(), values, kinds):
+        if kind is None:
+            assert abs(value - winding(lam)) <= 1e-9
+        else:
+            with pytest.raises(s.ZeroCoefficient):
+                winding(lam)
+
+
+def test_scan_over_winding_lanes_matches_scalar_scan(paine_problem):
+    tol = s.Tolerances(rel=1e-9, abs=1e-11)
+    winding = s.FiniteIntervalWinding(paine_problem, tol)
+    rel_width = 1e-8
+    lanes = s.scan_real(winding, (0.0, 60.0), 60, rel_width)
+    scalar = s.scan_real(lambda lam: winding(lam), (0.0, 60.0), 60, rel_width)
+    assert [c.n for c in lanes.crossings] == [c.n for c in scalar.crossings] == list(range(1, 8))
+    for a, b in zip(lanes.eigenvalues, scalar.eigenvalues):
+        assert abs(a - b) <= rel_width * abs(b)

@@ -322,7 +322,7 @@ def test_scan_real_bisection_failure_drops_crossing():
         return complex(lam.real)
 
     scan = s.scan_real(qf, (0.0, 3.0), 3)
-    assert scan.failures == [(1.0, "failure inside a bracket")]
+    assert scan.failures == [(1.0, "SchwarzianSLError")]
     assert [c.n for c in scan.crossings] == [2]
     assert abs(scan.eigenvalues[0] - 2.0) < 1e-7
 
@@ -338,3 +338,111 @@ def singular_at_root(w):
 def test_dispersion_scan_refine_failure_is_a_gap():
     points = s.dispersion_scan(lambda k: singular_at_root, [1.0], (0, 7, 0, 7), 8, 8)
     assert points == [s.DispersionPoint(k=1.0, omega=None, method="web")]
+
+
+def test_scan_real_non_finite_sample_is_a_failure():
+    # a NaN returned without an error fails its grid samples, 5.25 and 5.75,
+    # and the n = 3 crossing bracketed across them drops out with a record
+    scan = s.scan_real(
+        lambda l: complex("nan") if 5 < l.real < 6 else l.real / 2, (0, 10), 20)
+    assert scan.failures == [(5.25, "NonFiniteValue"), (5.75, "NonFiniteValue")]
+    assert [c.n for c in scan.crossings] == [1, 2, 4]
+    assert np.isnan(scan.values).sum() == 2
+
+
+def test_scan_real_non_finite_refinement_point_drops_crossing():
+    # grid 1.75, 2.25: the first refinement point of n = 1 is 2.0
+    def qf(lam):
+        return complex("inf") if 1.9 < lam.real < 2.1 else lam.real / 2
+
+    scan = s.scan_real(qf, (0, 10), 20)
+    assert scan.failures == [(2.0, "NonFiniteValue")]
+    assert [c.n for c in scan.crossings] == [2, 3, 4]
+
+
+class _Counted:
+    """A winding that counts its scalar calls; ``lanes`` passes through."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+        if hasattr(fn, "lanes"):
+            self.lanes = fn.lanes
+
+    def __call__(self, lam):
+        self.calls += 1
+        return self.fn(lam)
+
+
+def _refinement_evals(qf, lam_range, n_samples, rel_width=1e-8):
+    counted = _Counted(qf)
+    scan = s.scan_real(counted, lam_range, n_samples, rel_width)
+    grid_calls = 0 if hasattr(qf, "lanes") else n_samples
+    return scan, counted.calls - grid_calls
+
+
+def _bisection_evals(f, a, b, rel_width=1e-8):
+    """Evaluations plain bisection with the same stop rule takes on [a, b]."""
+    fa, calls = f(a), 0
+    while b - a > rel_width * max(abs(a), abs(b), 1e-30):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        calls += 1
+        if fa * fm <= 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return calls
+
+
+def test_scan_real_linear_winding_refines_in_one_evaluation():
+    # the crossings of l/2 sit at cell midpoints of the grid, where the
+    # interpolation lands exactly: one evaluation each (bisection takes 24)
+    scan, evals = _refinement_evals(lambda l: l.real / 2, (0, 10), 20)
+    assert scan.eigenvalues == [2.0, 4.0, 6.0, 8.0]
+    assert evals == 4
+
+
+@pytest.mark.parametrize("slope,offset", [(0.37, 0.1), (3.0, -0.2), (0.05, 0.33)])
+def test_scan_real_linear_winding_off_midpoint(slope, offset):
+    rel_width = 1e-8
+    scan, evals = _refinement_evals(lambda l: slope * l.real + offset, (0, 10), 20)
+    roots = [(n - offset) / slope for n in range(1, math.ceil(10 * slope + offset))]
+    roots = [r for r in roots if 0.25 < r < 9.75]
+    assert len(scan.eigenvalues) == len(roots)
+    for got, want in zip(scan.eigenvalues, roots):
+        assert abs(got - want) <= rel_width * abs(want)
+    assert evals <= 8 * len(roots)
+
+
+@pytest.mark.parametrize("root", [0.61, 2.0537, 3.9781, 7.8255, 9.99])
+@pytest.mark.parametrize("n_samples", [2, 5, 20])
+@pytest.mark.parametrize("n", [0, 2])
+def test_scan_real_flat_root_costs_at_most_one_bisection_step_more(root, n_samples, n):
+    # (l - r)^3 + n: regula falsi alone crawls here, ITP keeps to bisection
+    rel_width = 1e-8
+
+    def winding(lam):
+        return (lam.real - root) ** 3 + n
+
+    lam_range = (root - 0.31, root + 0.9)
+    scan, evals = _refinement_evals(winding, lam_range, n_samples, rel_width)
+    assert [c.n for c in scan.crossings] == [n]
+    i = np.searchsorted(scan.grid, root)
+    bisection = _bisection_evals(
+        lambda lam: winding(complex(lam)) - n, scan.grid[i - 1], scan.grid[i], rel_width)
+    assert evals <= bisection + 1
+    # with n = 2 the cube is lost below the rounding of 2, 4e-16, so the
+    # winding itself locates the root only to about 1e-5
+    error = abs(scan.eigenvalues[0] - root)
+    assert error <= (rel_width * root if n == 0 else 1e-5)
+
+
+def test_scan_real_paine_refinement_economy(paine_problem):
+    tol = s.Tolerances(rel=1e-9, abs=1e-11)
+    scan, evals = _refinement_evals(s.FiniteIntervalWinding(paine_problem, tol),
+                                    (0.0, 200.0), 200)
+    assert len(scan.crossings) == 14
+    assert evals <= 8 * len(scan.crossings)
+    for got, oracle in zip(scan.eigenvalues, PAINE_ORACLE):
+        assert abs(got - oracle) < 1e-6 * oracle
