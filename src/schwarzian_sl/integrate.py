@@ -7,6 +7,16 @@ Integration runs along a real independent variable in either direction.
 ``integrate_lanes`` runs the same pair and controller over many parameter
 values at once, one lane each, for the independent samples of a web.
 
+One step attempt, ``_dp_attempt``, serves both engines.  It combines the
+stages one component at a time: each Python complex of the scalar state,
+or the whole (dim, n) lane block as a single component.  Its stages are
+spelled out, not looped over tableau rows: on the scalar path such a loop
+made a dim-3 attempt two to three times slower (15 us unrolled against
+21-35 us, 2 vCPUs, Python 3.11).  Lanes match scalar calls only to about
+1e-13, because numpy and Python complex arithmetic can differ in the last
+bit.  Step-size control stays per engine, so that the scalar step stays a
+Python float.
+
 Stopping semantics:
 
 * ``ReachedEnd``   -- the target abscissa was reached.
@@ -20,6 +30,7 @@ Stopping semantics:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -125,10 +136,6 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1 / 40,
 )
 
-# (c_i, a_i1 .. a_i,i-1) of the stages 2 to 6, for the lane engine
-_LANE_STAGES = ((_C2, (_A21,)), (_C3, (_A31, _A32)), (_C4, (_A41, _A42, _A43)),
-                (_C5, (_A51, _A52, _A53, _A54)), (1.0, (_A61, _A62, _A63, _A64, _A65)))
-
 # Hairer-style PI controller.
 _SAFETY = 0.9
 _BETA = 0.04
@@ -139,9 +146,30 @@ _MAX_FACTOR = 10.0  # strongest growth per step
 _ARITHMETIC_ERRORS = (OverflowError, ZeroDivisionError, FloatingPointError)
 
 
-def _finite(z: complex) -> bool:
-    # inf - inf and nan - nan are both NaN, so this rejects inf and NaN.
-    return z.real - z.real == 0.0 and z.imag - z.imag == 0.0
+def _dp_attempt(
+    rhs: Callable, x, y: Sequence, f: Sequence, hd, x_new, lam,
+) -> tuple[tuple, Sequence, tuple]:
+    """One Dormand-Prince 5(4) step attempt of size hd from (x, y), where
+    f = rhs(x, y, lam); returns (y_new, k7 = rhs(x_new, y_new, lam), err).
+
+    y, f and every stage are sequences of components (Python complexes, or
+    one (dim, n) lane block with x, hd and x_new of shape (n,)).
+    """
+    k2 = rhs(x + _C2 * hd, tuple([a + hd * (_A21 * b) for a, b in zip(y, f)]), lam)
+    k3 = rhs(x + _C3 * hd, tuple([a + hd * (_A31 * b + _A32 * c)
+                                  for a, b, c in zip(y, f, k2)]), lam)
+    k4 = rhs(x + _C4 * hd, tuple([a + hd * (_A41 * b + _A42 * c + _A43 * d)
+                                  for a, b, c, d in zip(y, f, k2, k3)]), lam)
+    k5 = rhs(x + _C5 * hd, tuple([a + hd * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
+                                  for a, b, c, d, e in zip(y, f, k2, k3, k4)]), lam)
+    k6 = rhs(x + hd, tuple([a + hd * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
+                            for a, b, c, d, e, g in zip(y, f, k2, k3, k4, k5)]), lam)
+    y_new = tuple([a + hd * (_B1 * b + _B3 * d + _B4 * e + _B5 * g + _B6 * j)
+                   for a, b, d, e, g, j in zip(y, f, k3, k4, k5, k6)])
+    k7 = rhs(x_new, y_new, lam)  # FSAL: the next step's f
+    err = tuple([hd * (_E1 * b + _E3 * d + _E4 * e + _E5 * g + _E6 * j + _E7 * m)
+                 for b, d, e, g, j, m in zip(f, k3, k4, k5, k6, k7)])
+    return y_new, k7, err
 
 
 def _rms(values: list[float]) -> float:
@@ -200,7 +228,7 @@ def integrate(
     f = tuple(complex(v) for v in rhs(x0, y, lam))
     if len(f) != n:
         raise DimensionMismatch(f"rhs returned length {len(f)}, expected {n}")
-    if not all(_finite(v) for v in f):
+    if not all(map(cmath.isfinite, f)):
         raise NonFiniteRhs(f"rhs is not finite at x={x0}")
 
     direction = 1.0 if x1 > x0 else -1.0
@@ -212,7 +240,6 @@ def integrate(
     x = x0
     fac_old = 1e-4
     reason = StopReason.STEP_FAILURE
-    indices = range(n)
 
     steps = 0
     while steps < tol.max_steps:
@@ -227,65 +254,10 @@ def integrate(
             h = remaining
         hd = direction * h
 
+        x_new = x1 if last else x + hd
         try:
-            k1 = f
-            y2 = tuple(y[i] + hd * (_A21 * k1[i]) for i in indices)
-            k2 = rhs(x + _C2 * hd, y2, lam)
-            y3 = tuple(y[i] + hd * (_A31 * k1[i] + _A32 * k2[i]) for i in indices)
-            k3 = rhs(x + _C3 * hd, y3, lam)
-            y4 = tuple(
-                y[i] + hd * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i])
-                for i in indices
-            )
-            k4 = rhs(x + _C4 * hd, y4, lam)
-            y5 = tuple(
-                y[i]
-                + hd * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
-                for i in indices
-            )
-            k5 = rhs(x + _C5 * hd, y5, lam)
-            y6 = tuple(
-                y[i]
-                + hd
-                * (
-                    _A61 * k1[i]
-                    + _A62 * k2[i]
-                    + _A63 * k3[i]
-                    + _A64 * k4[i]
-                    + _A65 * k5[i]
-                )
-                for i in indices
-            )
-            k6 = rhs(x + hd, y6, lam)
-            y_new = tuple(
-                y[i]
-                + hd
-                * (
-                    _B1 * k1[i]
-                    + _B3 * k3[i]
-                    + _B4 * k4[i]
-                    + _B5 * k5[i]
-                    + _B6 * k6[i]
-                )
-                for i in indices
-            )
-            x_new = x1 if last else x + hd
-            k7 = rhs(x_new, y_new, lam)
-            err = tuple(
-                hd
-                * (
-                    _E1 * k1[i]
-                    + _E3 * k3[i]
-                    + _E4 * k4[i]
-                    + _E5 * k5[i]
-                    + _E6 * k6[i]
-                    + _E7 * k7[i]
-                )
-                for i in indices
-            )
-            bad = not all(_finite(v) for v in y_new) or not all(
-                _finite(v) for v in err
-            )
+            y_new, k7, err = _dp_attempt(rhs, x, y, f, hd, x_new, lam)
+            bad = not all(map(cmath.isfinite, y_new + err))
         except _ARITHMETIC_ERRORS:
             bad = True
 
@@ -293,12 +265,8 @@ def integrate(
             h *= 0.1
             continue
 
-        err_norm = _rms(
-            [
-                abs(err[i]) / (tol.abs + tol.rel * max(abs(y[i]), abs(y_new[i])))
-                for i in indices
-            ]
-        )
+        err_norm = _rms([abs(e) / (tol.abs + tol.rel * max(abs(a), abs(b)))
+                         for e, a, b in zip(err, y, y_new)])
 
         if err_norm <= 1.0:
             x = x_new
@@ -379,6 +347,13 @@ def integrate_lanes(
         h = np.minimum(100.0 * h0, h1)
         failure[at_launch | (at_probe & ~failure.astype(bool))] = SingularSurface
         lane = np.arange(n)  # the original index of each live lane
+
+        def stage(xs, ys, lam):  # one lane block; ORs its singular lanes into hit
+            nonlocal hit
+            k, at = rhs(xs, ys[0], lam)
+            hit |= at
+            return (k,)
+
         steps, fac_old, ended = np.zeros(n, dtype=int), np.full(n, 1e-4), failure.astype(bool)
         while True:
             stalled = ~ended & ((steps >= tol.max_steps) | ~(h >= tol.min_step))
@@ -396,17 +371,9 @@ def integrate_lanes(
             last = h >= remaining
             h = np.where(last, remaining, h)
             hd = direction * h
-            ks, hit = [f], np.zeros(lane.size, dtype=bool)
-            for c, row in _LANE_STAGES:  # k2 .. k6
-                k, at = rhs(x + c * hd, y + hd * sum(a * k for a, k in zip(row, ks)), lam)
-                ks.append(k)
-                hit |= at
-            k1, k2, k3, k4, k5, k6 = ks
-            y_new = y + hd * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            hit = np.zeros(lane.size, dtype=bool)
             x_new = np.where(last, x1, x + hd)
-            k7, at = rhs(x_new, y_new, lam)
-            hit |= at
-            err = hd * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+            (y_new,), (k7,), (err,) = _dp_attempt(stage, x, (y,), (f,), hd, x_new, lam)
             bad = ~(np.isfinite(y_new).all(axis=0) & np.isfinite(err).all(axis=0))
             scale = tol.abs + tol.rel * np.maximum(np.abs(y), np.abs(y_new))
             err_norm = _lane_rms(np.abs(err) / scale)

@@ -80,7 +80,8 @@ def scan_real(
     qf until the bracket is at most ``rel_width`` times its larger end in
     magnitude; the midpoint of that bracket, or a point where the winding
     is exactly the integer, is the eigenvalue.  A failure there is
-    recorded the same way and drops that crossing.
+    recorded the same way and drops that crossing.  A sample whose winding
+    is exactly an integer is a crossing at that sample, counted once.
     """
     lo, hi = lam_range
     if n_samples < 2:
@@ -102,22 +103,20 @@ def scan_real(
         return value.real
 
     crossings: list[Crossing] = []
-    for i in range(n_samples - 1):
-        v0, v1 = values[i], values[i + 1]
-        if math.isnan(v0) or math.isnan(v1):
+    for i in range(n_samples):
+        v0 = values[i]
+        if math.isnan(v0):
             continue
-        n_lo = math.floor(min(v0, v1)) + 1
-        n_hi = math.ceil(max(v0, v1)) - 1
-        for n in range(n_lo, n_hi + 1):
+        if v0.is_integer():  # a crossing on the sample itself
+            crossings.append(Crossing(int(v0), float(grid[i])))
+        v1 = values[i + 1] if i + 1 < n_samples else math.nan
+        if math.isnan(v1):
+            continue
+        # the integers strictly between the two samples
+        for n in range(math.floor(min(v0, v1)) + 1, math.ceil(max(v0, v1))):
             a, b = float(grid[i]), float(grid[i + 1])
-            fa, fb = v0 - n, v1 - n
-            if fa == 0.0:
-                crossings.append(Crossing(n, a))
-                continue
-            if fa * fb > 0.0:
-                continue
             try:
-                root = _itp(lambda lam: winding(lam) - n, a, b, fa, fb, rel_width)
+                root = _itp(lambda lam: winding(lam) - n, a, b, v0 - n, v1 - n, rel_width)
             except SchwarzianSLError:
                 continue
             crossings.append(Crossing(n, root))
@@ -368,21 +367,25 @@ def refine_complex_root(
     The first step is a Newton step with ``slope`` (an estimate of qf' near
     the root, such as the slope a neighbouring root converged with), or,
     without one, a probe at a fixed small offset from the seed.  Every
-    later step is a secant step.  Converged when the next iterate w moves
-    by at most tol*|w|; that iterate is returned without evaluating qf
-    there, with the last secant slope.  Raises NoConvergence (carrying the
+    later step is a secant step, on a slope from two evaluations of this
+    call.  Converged when such a step moves the iterate w by at most
+    tol*|w|; that iterate is returned without evaluating qf there, with
+    the last secant slope.  A first step on the ``slope`` passed in is
+    always evaluated, as a tiny step there shows only that the slope is
+    steep, not that w is near a root.  Raises NoConvergence (carrying the
     last iterate and residual) after ``max_iter`` further evaluations.
     """
     w = complex(seed)
     f = complex(qf(w))
     if f == 0.0:
         return SecantRoot(w, slope)
-    for _ in range(max_iter):
+    for i in range(max_iter):
         if not slope:
             w_next = w + 1e-4 * max(1.0, abs(w)) * (1.0 + 0.5j)
         else:
             w_next = w - f / slope
-            if abs(w_next - w) <= tol * abs(w_next):
+            # from i = 1 on, slope is the secant through two evaluations
+            if i and abs(w_next - w) <= tol * abs(w_next):
                 return SecantRoot(w_next, slope)
         f_next = complex(qf(w_next))
         if f_next == f:

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -195,6 +196,55 @@ def test_nan_initial_step_stops_at_once():
     assert tr.stop_reason is StopReason.STEP_FAILURE
     assert calls <= 100
     assert tr.terminal == (0.0, (1 + 0j,))
+
+
+def test_rhs_calls_per_leg(monkeypatch):
+    # a leg calls the rhs once at the launch, once for the initial-step
+    # probe and six times per attempted step, accepted or rejected;
+    # perfbench/tracer.py derives its step count from this
+    engine = importlib.import_module("schwarzian_sl.integrate")
+    attempt, attempts, calls = engine._dp_attempt, 0, 0
+
+    def counted_attempt(*args):
+        nonlocal attempts
+        attempts += 1
+        return attempt(*args)
+
+    def rhs(x, y, lam):  # a sharp bump in frequency at x = 1.5 forces rejections
+        nonlocal calls
+        calls += 1
+        return (1j * y[0] * (1.0 + 50.0 * math.exp(-200.0 * (x - 1.5) ** 2)),)
+
+    monkeypatch.setattr(engine, "_dp_attempt", counted_attempt)
+    tr = s.integrate(s.OdeSystem(1, rhs), 0.0, 3.0, (1 + 0j,))
+    assert tr.stop_reason is StopReason.REACHED_END
+    assert attempts > len(tr.xs) - 1  # accepted and rejected steps
+    assert calls == 2 + 6 * attempts
+
+
+def test_tableau_consistency():
+    # read the Dormand-Prince tableau off the one step attempt: stage s
+    # returns the unit vector e_s, so with y = 0 and h = 1 each stage's
+    # state is its row of A, its abscissa is c_s, y_new is b and err is e
+    engine = importlib.import_module("schwarzian_sl.integrate")
+    unit = [tuple(float(i == j) for i in range(7)) for j in range(7)]
+    stages = []
+
+    def rhs(x, y, lam):
+        stages.append((x, y))
+        return unit[len(stages)]
+
+    y_new, k7, err = engine._dp_attempt(rhs, 0.0, (0.0,) * 7, unit[0], 1.0, 1.0, 0j)
+    assert len(stages) == 6 and k7 == unit[6]
+    c = [0.0] + [x for x, _ in stages]
+    for i, (x, row) in enumerate(stages, start=1):  # c_i = sum_j a_ij, A strictly lower
+        assert abs(x - sum(row)) < 1e-15 and not any(row[i:])
+    assert stages[-1] == (1.0, y_new)  # FSAL: the last stage is b at x + h
+    b, e = y_new, err
+    for q in range(1, 6):  # order 5 in b, order 4 in the embedded b - e
+        assert abs(sum(bj * cj ** (q - 1) for bj, cj in zip(b, c)) - 1 / q) < 1e-15
+        if q < 5:
+            assert abs(sum(ej * cj ** (q - 1) for ej, cj in zip(e, c))) < 1e-15
 
 
 def _lane_system(counts=None):

@@ -163,6 +163,14 @@ def test_refine_complex_root_no_convergence():
     assert excinfo.value.residual > 0
 
 
+def test_refine_complex_root_carried_slope_step_is_evaluated():
+    # a huge carried slope makes the first Newton step tiny far from any
+    # root; that step is evaluated, and the constant residual then stalls
+    with pytest.raises(s.NoConvergence) as excinfo:
+        s.refine_complex_root(lambda w: 1e-3, 10, slope=1e9)
+    assert excinfo.value.residual == 1e-3
+
+
 def test_refine_complex_root_result_is_a_complex():
     root = s.refine_complex_root(lambda w: (w - 5) * (w - 1), 4.8 + 0j, tol=1e-12)
     assert isinstance(root, complex)
@@ -393,6 +401,19 @@ def _bisection_evals(f, a, b, rel_width=1e-8):
         else:
             a, fa = mid, fm
     return calls
+
+
+@pytest.mark.parametrize("winding,want", [
+    (lambda l: l.real, [(1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)]),
+    (lambda l: 5.0 - l.real, [(4, 1.0), (3, 2.0), (2, 3.0), (1, 4.0)]),
+    (lambda l: 0.75 * l.real + 0.5, [(2, 2.0), (3, 10 / 3)]),
+])
+def test_scan_real_crossing_on_a_sample_counts_once(winding, want):
+    # on the grid 1, 2, 3, 4 a winding that is an integer at a sample, the
+    # first and the last one included, crosses there once
+    scan = s.scan_real(winding, (0.5, 4.5), 4)
+    assert [c.n for c in scan.crossings] == [n for n, _ in want]
+    assert np.allclose(scan.eigenvalues, [lam for _, lam in want], rtol=1e-8, atol=0)
 
 
 def test_scan_real_linear_winding_refines_in_one_evaluation():
