@@ -10,7 +10,9 @@ read eigenvalues off the integer crossings of the winding value
 import schwarzian_sl as s
 
 problem = s.morse(5.0)
-scan = s.scan_real(lambda e: s.phi_winding_value(problem, e), (0.0, 25.0), 120)
+# (Phi|+inf - Phi|-inf)/2pi; the scan evaluates its whole grid as two
+# lane-batched integrations, one per leg
+scan = s.scan_real(s.AsymptoticWinding(problem), (0.0, 25.0), 120)
 
 print("winding curve (every 10th sample):")
 for lam, w in list(zip(scan.grid, scan.values))[::10]:

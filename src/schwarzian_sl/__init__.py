@@ -38,6 +38,7 @@ from .minimalist import (
 )
 from .schwarzian import (
     Approach,
+    AsymptoticWinding,
     DegenerateBoundary,
     DegenerateLaunch,
     GState,

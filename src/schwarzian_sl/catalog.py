@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
+import numpy as np
+
 from .core import BoundarySpec, Coefficients, Domain, SLProblem
 from .mhd import CohnJetModel
 
@@ -70,7 +72,8 @@ def morse(lambda_param: float = 5.0) -> SLProblem:
     depth = lambda_param * lambda_param
 
     def q(x: float, eig: complex) -> complex:
-        u = 1.0 - math.exp(-x)
+        # arrays of x for lanes; math.exp keeps a scalar x a Python float
+        u = 1.0 - (np.exp(-x) if isinstance(x, np.ndarray) else math.exp(-x))
         return eig - depth * u * u
 
     return SLProblem(

@@ -38,9 +38,9 @@ from .rootfind import (
 )
 from .schwarzian import (
     Approach,
+    AsymptoticWinding,
     eigenfunction,
     g_difference_value,
-    phi_winding_value,
     solve_asymptotic,
     solve_constant_from_bc,
 )
@@ -188,13 +188,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     problem, method = _resolve(args, "sl")
     tol = Tolerances(rel=args.rel, abs=args.abs)
     lo, hi = _parse_floats(args.range, 2, "--range")
-    if method == "minimalist":  # its grid runs as lanes
-        winding = FiniteIntervalWinding(problem, tol)
-    else:
-        def winding(lam: complex) -> complex:
-            return phi_winding_value(problem, lam, tol)
-
-    scan = scan_real(winding, (lo, hi), args.samples)
+    # both windings run the scan grid as lanes
+    winding = FiniteIntervalWinding if method == "minimalist" else AsymptoticWinding
+    scan = scan_real(winding(problem, tol), (lo, hi), args.samples)
     if scan.failures:
         print(f"{len(scan.failures)} failed sample(s) at lambda = "
               f"{[lam for lam, _ in scan.failures]}", file=sys.stderr)

@@ -5,7 +5,8 @@ control, operating on tuples of Python complex scalars (the systems here
 have dimension <= 4, where scalar arithmetic beats array overhead).
 Integration runs along a real independent variable in either direction.
 ``integrate_lanes`` runs the same pair and controller over many parameter
-values at once, one lane each, for the independent samples of a web.
+values at once, one lane each: the independent samples of a web or of a
+real scan grid, with an optional per-lane terminal event.
 
 One step attempt, ``_dp_attempt``, serves both engines.  It combines the
 stages one component at a time: each Python complex of the scalar state,
@@ -43,6 +44,8 @@ from .core import SchwarzianSLError
 ComplexVector = tuple[complex, ...]
 RhsFunction = Callable[[float, ComplexVector, complex], Sequence[complex]]
 EventPredicate = Callable[[float, ComplexVector], bool]
+# lane form: (original indices of the live lanes, x (n,), y (dim, n)) -> (n,) bool
+LaneEventPredicate = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 class DimensionMismatch(ValueError):
@@ -308,6 +311,7 @@ def _lane_rms(v: np.ndarray) -> np.ndarray:
 def integrate_lanes(
     sys: OdeSystem, x0: float, x1: float, y0: Sequence[complex] | np.ndarray,
     lam: np.ndarray, tol: Tolerances = Tolerances(),
+    event: LaneEventPredicate | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`integrate` from x0 to x1 once per parameter in ``lam``, as lanes.
 
@@ -317,11 +321,21 @@ def integrate_lanes(
     section II.4); it leaves the batch when it ends.  ``lam`` is (n,), or
     (k, n) for k parameters per lane, lane axis last.  ``sys.lanes`` maps
     x (n,), y (dim, n) and the live lanes' lam to f (dim, n) and a mask of
-    lanes where the rhs is singular.  Returns the terminal x (n,) and y
-    (dim, n), and per lane None when it reached x1, else the error that
-    ended it: NonFiniteRhs at the launch, SingularSurface where the rhs
-    was singular, or StepFailure for a stall (whose terminal state is the
-    last accepted one).
+    lanes where the rhs is singular.
+
+    ``event(lane, x, y)`` is tested as `integrate` tests its event: on the
+    accepted state at each accepted step end, with no localization.  It
+    gets the original indices of the live lanes (so it can read per-lane
+    data such as a threshold) and their x (n,) and y (dim, n), and returns
+    the lanes where it fired; such a lane ends there as if it had reached
+    its end, on the step where `integrate` fires.  Last-bit differences
+    between numpy and Python arithmetic move the step sizes a little, so
+    an event x inside the range matches the scalar one to about 1e-11
+    only.  Returns the terminal x (n,) and y (dim, n), and per lane None
+    when it reached x1 or its event, else the error that ended it:
+    NonFiniteRhs at the launch, SingularSurface where the rhs was
+    singular, or StepFailure for a stall (whose terminal state is the last
+    accepted one).
     """
     if x0 == x1:
         raise ValueError("x0 and x1 must differ")
@@ -388,6 +402,8 @@ def integrate_lanes(
             f = np.where(accept, k7, f)
             failure[lane[hit]] = SingularSurface
             ended = hit | (accept & last)
+            if event is not None:
+                ended |= accept & event(lane, x, y)
     return x_end, y_end, failure
 
 

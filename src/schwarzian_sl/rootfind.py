@@ -80,8 +80,12 @@ def scan_real(
     qf until the bracket is at most ``rel_width`` times its larger end in
     magnitude; the midpoint of that bracket, or a point where the winding
     is exactly the integer, is the eigenvalue.  A failure there is
-    recorded the same way and drops that crossing.  A sample whose winding
-    is exactly an integer is a crossing at that sample, counted once.
+    recorded the same way and drops that crossing.  A run of samples whose
+    winding is exactly the integer n is one crossing, at its first sample,
+    when the winding passes through n there: the samples beside the run
+    lie on opposite sides of n, or only one of them is known (the run ends
+    the grid or meets a failed sample).  A winding that stays on n, or
+    touches it and turns back, does not cross it.
     """
     lo, hi = lam_range
     if n_samples < 2:
@@ -107,8 +111,14 @@ def scan_real(
         v0 = values[i]
         if math.isnan(v0):
             continue
-        if v0.is_integer():  # a crossing on the sample itself
-            crossings.append(Crossing(int(v0), float(grid[i])))
+        if v0.is_integer() and (i == 0 or values[i - 1] != v0):  # on the sample
+            j = i  # the last sample of the run on v0
+            while j + 1 < n_samples and values[j + 1] == v0:
+                j += 1
+            before = values[i - 1] - v0 if i else math.nan
+            after = values[j + 1] - v0 if j + 1 < n_samples else math.nan
+            if before * after < 0.0 or math.isnan(before) != math.isnan(after):
+                crossings.append(Crossing(int(v0), float(grid[i])))
         v1 = values[i + 1] if i + 1 < n_samples else math.nan
         if math.isnan(v1):
             continue

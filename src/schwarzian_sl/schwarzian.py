@@ -27,13 +27,24 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    P_FLOOR,
     BoundaryKind,
     SchwarzianSLError,
     SLProblem,
+    ZeroCoefficient,
     default_fd_step,
     kappa_squared,
 )
-from .integrate import OdeSystem, Tolerances, Trajectory, integrate, raise_if_stalled
+from .integrate import (
+    OdeSystem,
+    SingularSurface,
+    StepFailure,
+    Tolerances,
+    Trajectory,
+    integrate,
+    integrate_lanes,
+    raise_if_stalled,
+)
 
 _SINGULAR_TOL = 1e-12
 DEFAULT_DECAY = 1e-8  # |F2| (or e^{-2 Lam}) fraction of launch value that
@@ -95,17 +106,29 @@ def g_system(problem: SLProblem) -> OdeSystem:
     return OdeSystem(dimension=3, rhs=rhs)
 
 
+def _phi_rhs(p, q, f1, f2) -> tuple:
+    """(F1', F2', Phi') from p, q, F1 and F2 at one point; lanes pass arrays."""
+    return (f2 * f2 - f1 * f1) / p - q, -2.0 * f1 * f2 / p, 2.0 * f2 / p
+
+
 def phi_system(problem: SLProblem) -> OdeSystem:
-    """F1' = (F2^2 - F1^2)/p - q, F2' = -2 F1 F2/p, Phi' = 2 F2/p."""
-    p_checked = problem.coefficients.p_checked
-    q = problem.coefficients.q
+    """F1' = (F2^2 - F1^2)/p - q, F2' = -2 F1 F2/p, Phi' = 2 F2/p.
+
+    The lane form marks lanes where p vanishes as singular; p and q then
+    take arrays of x and lam.
+    """
+    c = problem.coefficients
+    p_fn, p_checked, q = c.p, c.p_checked, c.q
 
     def rhs(x: float, y: tuple[complex, ...], lam: complex) -> tuple[complex, ...]:
-        p = p_checked(x, lam)
-        f1, f2 = y[0], y[1]
-        return ((f2 * f2 - f1 * f1) / p - q(x, lam), -2.0 * f1 * f2 / p, 2.0 * f2 / p)
+        return _phi_rhs(p_checked(x, lam), q(x, lam), y[0], y[1])
 
-    return OdeSystem(dimension=3, rhs=rhs)
+    def lanes(x: np.ndarray, y: np.ndarray, lam: np.ndarray):
+        p = p_fn(x, lam)
+        f = np.array(_phi_rhs(p, q(x, lam), y[0], y[1]))
+        return f, np.broadcast_to(np.abs(p) < P_FLOOR, x.shape)
+
+    return OdeSystem(dimension=3, rhs=rhs, lanes=lanes)
 
 
 def default_initial_state(problem: SLProblem, x0: float, lam: complex) -> PhiState:
@@ -189,26 +212,44 @@ def reconstruct_F(
     return f1 + f2 * c / s
 
 
-def decay_event(approach: Approach, launch: Sequence[complex], decay: float):
+def decay_event(approach: Approach, launch: Sequence[complex] | np.ndarray, decay: float):
     """Predicate that fires once the split has frozen asymptotically.
 
     Phi approach: |F2| fell below ``decay`` times its launch value.
     g approach: |e^{-2 Lam}| fell below ``decay`` times its launch value.
+    For one launch state the predicate is `integrate`'s ``fired(x, y)``;
+    for a (dim, n) block of lane launch states it is `integrate_lanes`'s
+    ``fired(lane, x, y)``, which tests each live lane against its own
+    launch.
     """
     if approach is Approach.PHI:
-        floor = decay * abs(launch[1])
+        limit = decay * abs(launch[1])
 
-        def fired(x: float, y: tuple[complex, ...]) -> bool:
-            return abs(y[1]) < floor
+        def frozen(y, limit):
+            return abs(y[1]) < limit
 
     else:
         # |e^{-2 Lam}| = e^{-2 Re Lam}; compare exponents to avoid overflow
-        threshold = launch[1].real - 0.5 * math.log(decay)
+        limit = launch[1].real - 0.5 * math.log(decay)
 
-        def fired(x: float, y: tuple[complex, ...]) -> bool:
-            return y[1].real > threshold
+        def frozen(y, limit):
+            return y[1].real > limit
 
-    return fired
+    if np.ndim(launch) == 2:
+        return lambda lane, x, y: frozen(y, limit[lane])
+    return lambda x, y: frozen(y, limit)
+
+
+def _check_asymptotic(problem: SLProblem) -> None:
+    """NotAsymptotic unless both ends carry a Quantization spec; ValueError
+    unless the start lies between the cuts."""
+    d = problem.domain
+    for which, spec in enumerate(problem.boundaries):
+        if spec.kind is not BoundaryKind.QUANTIZATION:
+            end = d.lower if which == 0 else d.upper
+            raise NotAsymptotic(f"end x={end} carries no Quantization spec")
+    if not d.lower_cut < d.start < d.upper_cut:
+        raise ValueError(f"start {d.start} must lie between the cuts")
 
 
 def solve_asymptotic(
@@ -233,13 +274,8 @@ def solve_asymptotic(
     longer vary significantly there).  A leg that stalls before its cut or
     event raises StepFailure: its last state is not asymptotic.
     """
+    _check_asymptotic(problem)
     d = problem.domain
-    for which, spec in enumerate(problem.boundaries):
-        if spec.kind is not BoundaryKind.QUANTIZATION:
-            end = d.lower if which == 0 else d.upper
-            raise NotAsymptotic(f"end x={end} carries no Quantization spec")
-    if not d.lower_cut < d.start < d.upper_cut:
-        raise ValueError(f"start {d.start} must lie between the cuts")
     if launch is None:
         if approach is Approach.PHI:
             launch = default_initial_state(problem, d.start, lam)
@@ -260,6 +296,58 @@ def phi_winding_value(
     problem: SLProblem, lam: complex, tol: Tolerances = Tolerances()
 ) -> complex:
     return solve_asymptotic(problem, lam, Approach.PHI, tol)[2]
+
+
+@dataclass(frozen=True)
+class AsymptoticWinding:
+    """lam -> (Phi|2 - Phi|1)/2pi of the Phi approach with the default
+    launch and decay event, for a problem with Quantization at both ends:
+    its crossings of the integers n are the eigenvalues (the state with
+    n - 1 nodes)."""
+
+    problem: SLProblem
+    tol: Tolerances = Tolerances()
+
+    def __call__(self, lam: complex) -> complex:
+        return phi_winding_value(self.problem, lam, self.tol)
+
+    def lanes(self, lams: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+        """`__call__` at many lam, as one lane-batched integration per leg:
+        the values (NaN where an evaluation failed) and per lam None or the
+        name of the error `__call__` raises there.
+
+        Each lane starts from `default_initial_state` and stops on its own
+        decay event; p and q must take arrays of x and lam.  A problem that
+        `solve_asymptotic` refuses outright raises here too.
+        """
+        problem, d = self.problem, self.problem.domain
+        _check_asymptotic(problem)
+        lam = np.asarray(lams, dtype=complex)
+        values = np.full(lam.size, np.nan, dtype=complex)
+        failure = np.full(lam.size, None, dtype=object)
+        launch = np.zeros((3, lam.size), dtype=complex)
+        for j, w in enumerate(lam.tolist()):
+            try:
+                launch[:, j] = default_initial_state(problem, d.start, w)
+            except SchwarzianSLError as exc:
+                failure[j] = type(exc)
+        live = np.flatnonzero(~failure.astype(bool))
+        sys, launch = phi_system(problem), launch[:, live]
+        event = decay_event(Approach.PHI, launch, DEFAULT_DECAY)
+        _, y_low, low = integrate_lanes(
+            sys, d.start, d.lower_cut, launch, lam[live], self.tol, event)
+        _, y_high, high = integrate_lanes(
+            sys, d.start, d.upper_cut, launch, lam[live], self.tol, event)
+        # the scalar path raises the low leg's error, then the high leg's,
+        # then a stall of either; the rhs is singular only where p vanishes,
+        # which p_checked raises as ZeroCoefficient
+        for j, a, b in zip(live.tolist(), low, high):
+            raised = [f for f in (a, b) if f not in (None, StepFailure)]
+            failure[j] = raised[0] if raised else (a or b)
+        failure[failure == SingularSurface] = ZeroCoefficient
+        values[live] = (y_high[2] - y_low[2]) / (2.0 * math.pi)
+        values[failure.astype(bool)] = np.nan
+        return values, [None if f is None else f.__name__ for f in failure]
 
 
 def g_difference_value(

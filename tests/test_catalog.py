@@ -103,23 +103,44 @@ def test_problem_from_json_unknown_name():
         s.problem_from_json({"problem": {"name": "nope"}})
 
 
-def test_minimalist_entries_take_array_coefficients():
-    # the minimalist winding evaluates its scan grid as lanes, calling p and
-    # q on arrays of x and lam; every entry the method accepts must allow it
-    accepted = []
-    for name, entry in s.CATALOG.items():
-        args = argparse.Namespace(command="solve", problem=name, method="minimalist",
-                                  param=None)
+def _array_and_scalar_coefficients(method, window):
+    """(name, lanes, scalar) per coefficient p, q of each catalog entry that
+    ``solve --method`` accepts: its values on 7 points x of ``window(domain)``
+    by 3 lam, from one call on arrays (broadcast) and from scalar calls."""
+    out = []
+    for name in s.CATALOG:
+        args = argparse.Namespace(command="solve", problem=name, method=method, param=None)
         try:
             problem, _ = cli._resolve(args, "sl")
         except cli.ConfigError:
             continue
-        accepted.append(name)
-        d, c = problem.domain, problem.coefficients
-        xs = np.linspace(d.lower, d.upper, 7)[:, None]
+        xs = np.linspace(*window(problem.domain), 7)[:, None]
         lams = np.array([0.5, 3.0 + 1.0j, 150.0])
-        for fn in (c.p, c.q):
+        for fn in (problem.coefficients.p, problem.coefficients.q):
             lanes = np.broadcast_to(fn(xs, lams), (xs.size, lams.size))
             scalar = [[fn(x, lam) for lam in lams.tolist()] for x in xs[:, 0].tolist()]
-            assert np.array_equal(lanes, np.array(scalar, dtype=complex)), name
-    assert "paine" in accepted
+            out.append((name, lanes, scalar))
+    return out
+
+
+def test_minimalist_entries_take_array_coefficients():
+    # the minimalist winding evaluates its scan grid as lanes, calling p and
+    # q on arrays of x and lam; every entry the method accepts must allow it
+    found = _array_and_scalar_coefficients("minimalist", lambda d: (d.lower, d.upper))
+    for name, lanes, scalar in found:
+        assert np.array_equal(lanes, np.array(scalar, dtype=complex)), name
+    assert "paine" in {name for name, _, _ in found}
+
+
+def test_schwarzian_entries_take_array_coefficients():
+    # the asymptotic winding evaluates its scan grid as lanes too, between
+    # the cuts.  Array np.exp may differ from math.exp in the last bit (the
+    # Morse q), so lanes agree to 4 ulp; the scalar path stays on Python
+    # complexes, not numpy scalars
+    found = _array_and_scalar_coefficients(
+        "schwarzian-phi", lambda d: (d.lower_cut, d.upper_cut))
+    for name, lanes, scalar in found:
+        want = np.array(scalar, dtype=complex)
+        assert np.all(np.abs(lanes - want) <= 4 * np.finfo(float).eps * np.abs(want)), name
+        assert all(type(v) is complex for row in scalar for v in row), name
+    assert {name for name, _, _ in found} == {"morse", "harmonic", "oscillator"}

@@ -315,3 +315,39 @@ def test_lane_failures_stop_alone():
     kept = [0, 2, 4]
     assert np.array_equal(x_end[kept], alone[0])
     assert np.array_equal(y_end[:, kept], alone[1])
+
+
+def test_lane_event_matches_scalar_event_per_lane():
+    # each lane stops on Re u < floor[lane], tested as the scalar event is:
+    # lam = 0.5 and 3.0 fire before the cut, lam = 0.25 fires on the step
+    # that reaches it, lam = 1.0 never fires, and lam = 2.0 fails (singular
+    # past x = 1) without changing its neighbours
+    tol = s.Tolerances(rel=1e-9, abs=1e-12)
+    sys = _lane_system()
+    last_two = s.integrate(sys, 0.0, 4.0, (1 + 0j, 0j), 0.25 + 0j, tol).ys[-2:, 0].real
+    lams = np.array([0.5, 0.25, 2.0, 1.0, 3.0 + 0j])
+    floor = np.array([0.0, last_two.mean(), -2.0, -2.0, 0.5])
+    event = lambda lane, x, y: y[0].real < floor[lane]
+    lane_calls, scalar_calls = {}, {}
+    x_end, y_end, failure = s.integrate_lanes(
+        _lane_system(lane_calls), 0.0, 4.0, (1 + 0j, 0j), lams, tol, event)
+    assert list(failure) == [None, None, s.SingularSurface, None, None]
+    for j in (0, 1, 3, 4):
+        lam = lams.tolist()[j]
+        tr = s.integrate(_lane_system(scalar_calls), 0.0, 4.0, (1 + 0j, 0j), lam, tol,
+                         event=lambda x, y: y[0].real < floor[j], store_path=False)
+        assert tr.stop_reason is (StopReason.REACHED_END if j == 3 else StopReason.EVENT_FIRED)
+        assert lane_calls[lam] == scalar_calls[lam]  # it ends on the same step
+        if j in (1, 3):
+            assert x_end[j] == tr.x_end == 4.0
+            assert np.abs(y_end[:, j] - tr.y_end).max() <= 1e-13
+        else:
+            # a last-bit difference in numpy's power or complex arithmetic
+            # moves the step sizes, so an x inside the range agrees to ~1e-11
+            assert tr.x_end < 4.0 and abs(x_end[j] - tr.x_end) <= 1e-10 * tr.x_end
+            assert np.abs(y_end[:, j] - tr.y_end).max() <= 1e-10
+    live = [0, 1, 3, 4]
+    alone = s.integrate_lanes(sys, 0.0, 4.0, (1 + 0j, 0j), lams[live], tol,
+                              lambda lane, x, y: y[0].real < floor[live][lane])
+    assert np.array_equal(x_end[live], alone[0])
+    assert np.array_equal(y_end[:, live], alone[1])

@@ -150,26 +150,48 @@ def test_cli_method_problem_compatibility(tmp_path, capsys):
 
 
 def test_cli_solve_reports_failed_samples(monkeypatch, tmp_path, capsys):
-    import schwarzian_sl.cli as cli
+    # the stall is injected where the lane grid and the scalar refinement
+    # both see it
+    call, lanes = s.AsymptoticWinding.__call__, s.AsymptoticWinding.lanes
 
-    phi_winding_value = cli.phi_winding_value
+    def stalls(lam):
+        return 19.0 < lam.real < 19.5
 
-    def stalls_above_19(problem, lam, tol):
-        if 19.0 < lam.real < 19.5:
+    def call_stalls_above_19(self, lam):
+        if stalls(lam):
             raise s.StepFailure(f"stalled at lambda={lam.real}")
-        return phi_winding_value(problem, lam, tol)
+        return call(self, lam)
+
+    def lanes_stall_above_19(self, lams):
+        values, kinds = lanes(self, lams)
+        for j, lam in enumerate(lams.tolist()):
+            if stalls(lam):
+                values[j], kinds[j] = complex("nan"), "StepFailure"
+        return values, kinds
 
     argv = ["solve", "--problem", "morse", "--range", "18,20", "--samples", "16"]
     assert main(argv + ["--out", str(tmp_path / "clean.csv")]) == 0
     clean = capsys.readouterr()
     assert clean.err == ""
-    monkeypatch.setattr(cli, "phi_winding_value", stalls_above_19)
+    monkeypatch.setattr(s.AsymptoticWinding, "__call__", call_stalls_above_19)
+    monkeypatch.setattr(s.AsymptoticWinding, "lanes", lanes_stall_above_19)
     assert main(argv + ["--out", str(tmp_path / "failed.csv")]) == 0
     failed = capsys.readouterr()
     assert failed.err.startswith("4 failed sample(s) at lambda = [19.0625, ")
     assert failed.out == clean.out.replace("clean.csv", "failed.csv")
     assert "18.75" in failed.out
     assert (tmp_path / "failed.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+
+
+@pytest.mark.parametrize("method", ["schwarzian-phi", "schwarzian-g"])
+def test_cli_solve_flat_winding_has_no_eigenvalues(method, capsys):
+    # the oscillator's q does not depend on lambda: its winding is the same
+    # at every sample and crosses no integer
+    argv = ["solve", "--problem", "oscillator", "--range", "0,5", "--samples", "20",
+            "--method", method]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(
+        "const_oscillator(kappa=0+1j): 0 eigenvalue(s) in (0.0, 5.0)\n")
 
 
 def test_cli_numerical_failure_exit_code():

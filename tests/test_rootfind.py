@@ -416,6 +416,20 @@ def test_scan_real_crossing_on_a_sample_counts_once(winding, want):
     assert np.allclose(scan.eigenvalues, [lam for _, lam in want], rtol=1e-8, atol=0)
 
 
+@pytest.mark.parametrize("values,want", [
+    ([0.0, 0.0, 0.0, 0.0], []),
+    ([2.0, 2.0, 2.0, 2.0], []),
+    ([0.5, 1.0, 0.5, 0.25], []),  # touches 1 and turns back
+    ([0.5, 1.0, 1.0, 1.5], [(1, 2.0)]),  # two samples on 1: one crossing, at the first
+    ([2.0, 2.0, 1.5, 1.0], [(2, 1.0), (1, 4.0)]),  # a run at the first sample
+])
+def test_scan_real_counts_a_sample_on_an_integer_only_where_it_passes(values, want):
+    # on the grid 1, 2, 3, 4: a run of samples on an integer is one crossing
+    # when the winding passes through it there, none where it stays on it
+    scan = s.scan_real(lambda l: values[round(l.real) - 1], (0.5, 4.5), 4)
+    assert [(c.n, c.eigenvalue) for c in scan.crossings] == want
+
+
 def test_scan_real_linear_winding_refines_in_one_evaluation():
     # the crossings of l/2 sit at cell midpoints of the grid, where the
     # interpolation lands exactly: one evaluation each (bisection takes 24)

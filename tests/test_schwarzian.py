@@ -215,6 +215,27 @@ def test_decay_event_reaches_threshold(morse_problem):
     assert abs(low.y_end[1]) <= 1e-8 * abs(launch.F2)
 
 
+@pytest.mark.parametrize("name,lams,tol", [
+    ("morse", np.linspace(0.0, 25.0, 11), s.Tolerances()),
+    ("harmonic", np.linspace(0.0, 6.0, 9), s.Tolerances()),
+    ("morse", np.array([4.75, 18.75]), s.Tolerances(max_steps=3)),
+])
+def test_asymptotic_winding_lanes_match_calls(name, lams, tol, request):
+    # the lane grid gives the scalar winding per lam, events included, and
+    # fails where the scalar call raises, under the same name: lam = 0 is a
+    # zero gauge launch for both problems, and 3 steps stall every leg
+    winding = s.AsymptoticWinding(request.getfixturevalue(f"{name}_problem"), tol)
+    values, kinds = winding.lanes(lams + 0j)
+    for lam, value, kind in zip(lams.tolist(), values.tolist(), kinds):
+        try:
+            want, want_kind = winding(complex(lam)), None
+        except s.SchwarzianSLError as exc:
+            want, want_kind = complex("nan"), type(exc).__name__
+        assert kind == want_kind
+        assert abs(value - want) <= 1e-12 or (cmath.isnan(value) and cmath.isnan(want))
+    assert kinds[0] == ("StepFailure" if tol.max_steps == 3 else "DegenerateLaunch")
+
+
 def test_substitution_identity_riccati_residual(morse_problem):
     # F1 + i F2 satisfies the Riccati equation identically along the flow
     rng = np.random.default_rng(3)
