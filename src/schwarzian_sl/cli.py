@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from typing import Any
 
@@ -406,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, help="processes for a web's lanes (default 1)")
     p.set_defaults(func=cmd_dispersion)
 
+    for p in (parser, *sub.choices.values()):  # "-5,0" or "-3+1j" is a value, not an option
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

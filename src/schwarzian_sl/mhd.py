@@ -16,16 +16,27 @@ Every equilibrium expressible here has F22 = -F11, so the trace
 the eigenfunction normalization: the state is (Y4, Y3, g1 or Phi1).
 
 All ratios are evaluated in the scalings r*F_ij/D, which stay finite at
-the axis and make the 1/r structure of the system explicit.
+the axis and make the 1/r structure of the system explicit.  Their omega-,
+k- and m-dependent factors are built once per leg (per lane, as parameter
+rows); a stage evaluates only the r-dependent rest.  With W = (omega -
+k V0)^2, I = b_phi_over_r and delta = rho W - (k.B0)^2, a hydrodynamic
+segment has rf11 = 0, rf12 = A r^2 - m^2/delta, rf21 = -delta, and a cold
+one with B0phi = I/r at m = 0 the Laurent polynomials rf11 = -1 -
+k^2 I^2/(delta r^2), rf12 = r^4/I^2 - k^2 r^2/delta, rf21 = -delta -
+I^2/r^4 + k^2 I^4/(delta r^6); there delta is constant, so the singular
+test runs once per leg.  Other segments use the full form, with the test
+(the Alfven radius at m != 0 among others) at every stage.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,6 +54,7 @@ from .integrate import (
 from .schwarzian import Approach, branch_tracked_sqrt
 
 _INTERFACE_NUDGE = 1e-9  # relative launch offset off an interface
+_PROFILE_KEYS = ("P0", "V0", "B0z", "b_phi_const", "b_phi_over_r")  # 0 when left out
 
 
 @dataclass(frozen=True)
@@ -82,45 +94,8 @@ class MhdEquilibrium:
     def interfaces(self) -> tuple[float, ...]:
         return tuple(s.lo for s in self.segments[1:])
 
-    def segment_at(self, r: float) -> ProfileSegment:
-        for seg in reversed(self.segments):
-            if r >= seg.lo:
-                return seg
-        return self.segments[0]
-
-    def rho0(self, r: float) -> float:
-        return self.segment_at(r).rho0
-
-    def P0(self, r: float) -> float:
-        return self.segment_at(r).P0
-
-    def V0(self, r: float) -> float:
-        return self.segment_at(r).V0
-
-    def B0z(self, r: float) -> float:
-        return self.segment_at(r).B0z
-
-    def B0phi(self, r: float) -> float:
-        seg = self.segment_at(r)
-        return seg.b_phi_const + seg.b_phi_over_r / r
-
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "segments": [
-                {
-                    "lo": s.lo,
-                    "hi": s.hi,
-                    "rho0": s.rho0,
-                    "P0": s.P0,
-                    "V0": s.V0,
-                    "B0z": s.B0z,
-                    "b_phi_const": s.b_phi_const,
-                    "b_phi_over_r": s.b_phi_over_r,
-                }
-                for s in self.segments
-            ],
-        }
+        return {"gamma": self.gamma, "segments": [asdict(s) for s in self.segments]}
 
     @staticmethod
     def from_dict(doc: dict) -> "MhdEquilibrium":
@@ -129,102 +104,161 @@ class MhdEquilibrium:
         Segment edges may be the strings "inf"/"-inf"; B0phi segments are
         constant plus a 1/r part.
         """
-
         segments = tuple(
-            ProfileSegment(
-                lo=float(s["lo"]),
-                hi=float(s.get("hi", math.inf)),
-                rho0=float(s["rho0"]),
-                P0=float(s.get("P0", 0.0)),
-                V0=float(s.get("V0", 0.0)),
-                B0z=float(s.get("B0z", 0.0)),
-                b_phi_const=float(s.get("b_phi_const", 0.0)),
-                b_phi_over_r=float(s.get("b_phi_over_r", 0.0)),
-            )
+            ProfileSegment(float(s["lo"]), float(s.get("hi", math.inf)), float(s["rho0"]),
+                           *(float(s.get(key, 0.0)) for key in _PROFILE_KEYS))
             for s in doc["segments"]
         )
         return MhdEquilibrium(segments=segments, gamma=float(doc.get("gamma", 5.0 / 3.0)))
 
-    def equilibrium_residual(self, r: float, h: float = 1e-6) -> float:
-        """Force-balance residual by central differences inside one piece."""
 
-        def total(rr: float) -> float:
-            return self.P0(rr) + 0.5 * self.B0z(rr) ** 2
+def _segment_form(seg: ProfileSegment, gamma: float, m: int, k: float):
+    """(factors, ratios) of one segment at mode (m, k), in the forms the
+    module docstring lists: ``factors(omega)`` builds the r-independent
+    factors of a leg, ``ratios(r, *factors)`` gives (rf11, rf12, rf21,
+    singular) at a radius, for numpy scalars or lane arrays alike."""
+    rho, v0, bz, bc, big_i = seg.rho0, seg.V0, seg.B0z, seg.b_phi_const, seg.b_phi_over_r
+    cold, cs_sq = seg.P0 == 0.0, gamma * seg.P0 / rho
+    kv, k_sq, m_sq = k * v0, k * k, m * m
 
-        def hoop(rr: float) -> float:
-            return 0.5 * (rr * self.B0phi(rr)) ** 2
+    def flow(omega):  # W = (omega - k V0)^2, rho W and the scale of the singular test
+        w_co = omega - kv
+        w_sq = w_co * w_co
+        return w_sq, rho * w_sq, rho * (abs(w_co) + abs(kv) + abs(omega)) ** 2 + 1e-300
 
-        d_total = (total(r + h) - total(r - h)) / (2.0 * h)
-        d_hoop = (hoop(r + h) - hoop(r - h)) / (2.0 * h)
-        return d_total + d_hoop / r**2
+    if not (cold or bz or bc or big_i):  # hydrodynamic
+        def factors(omega):
+            w_sq, delta, scale = flow(omega)
+            return (w_sq / cs_sq - k_sq) / delta, -m_sq / delta, -delta, abs(delta) <= 1e-30 * scale
 
+        def ratios(r, a, b, rf21, singular):
+            return 0.0, a * r * r + b, rf21, (singular != 0) | (r == 0.0)
 
-def _segment_ratios(seg: ProfileSegment, gamma: float, m: int, k: float, omega, r):
-    """(rf11, rf12, rf21, singular) in one segment, for scalar or lane-array
-    omega and r.  ``singular`` marks a vanishing continuous-spectrum
-    denominator; the ratios there mean nothing, and an exactly zero one
-    raises ZeroDivisionError in a scalar call."""
-    rho = seg.rho0
-    bz = seg.B0z
-    bphi = seg.b_phi_const + seg.b_phi_over_r / r
-    b_sq = bz * bz + bphi * bphi
-    cs_sq = gamma * seg.P0 / rho
-    w_co = omega - k * seg.V0
-    w_co_sq = w_co * w_co
-    kb = k * bz + (m / r) * bphi  # k_co . B0
-    kco_sq = k * k + (m / r) ** 2
-    delta = rho * w_co_sq - kb * kb
-    scale = rho * (abs(w_co) + abs(k * seg.V0) + abs(omega)) ** 2 + kb * kb + 1e-300
-    singular = abs(delta) <= 1e-30 * scale
-    if seg.P0 == 0.0:
-        # cold plasma: the sound-speed factors cancel algebraically
-        singular = singular | (b_sq == 0.0)
-        kappa_t_sq = rho * w_co_sq / b_sq - kco_sq
-    elif not (bz or seg.b_phi_const or seg.b_phi_over_r):
-        kappa_t_sq = w_co_sq / cs_sq - kco_sq
+    elif cold and not (bz or bc or m) and big_i:  # Laurent polynomials in r
+        i_sq = big_i * big_i
+
+        def factors(omega):
+            _, delta, scale = flow(omega)
+            c = k_sq / delta
+            return -c * i_sq, -c, -delta, c * i_sq * i_sq, abs(delta) <= 1e-30 * scale
+
+        def ratios(r, a11, a12, a21, b21, singular):
+            r_sq = r * r
+            s_sq = 1.0 / r_sq
+            return (-1.0 + a11 * s_sq, r_sq * (r_sq / i_sq + a12),
+                    a21 + s_sq * s_sq * (b21 * s_sq - i_sq), singular != 0)
+
     else:
-        den = (rho * cs_sq + b_sq) * w_co_sq - cs_sq * kb * kb
-        den_scale = abs((rho * cs_sq + b_sq) * w_co_sq) + cs_sq * kb * kb + 1e-300
-        singular = singular | (abs(den) <= 1e-30 * den_scale)
-        kappa_t_sq = rho * w_co_sq * w_co_sq / den - kco_sq
-    rf11 = -(bphi * bphi * kappa_t_sq + 2.0 * bphi * k * (bphi * k - bz * m / r)) / delta
-    rf12 = kappa_t_sq * r * r / delta
-    rf21 = -(delta + (bphi * bphi / (r * r)) * (bphi * bphi * kappa_t_sq - 4.0 * bz * k * kb) / delta)
-    return rf11, rf12, rf21, singular
+        factors, k_bz, bz_sq, rho_cs_sq = flow, k * bz, bz * bz, rho * cs_sq
+
+        def ratios(r, w_sq, rho_w, scale):
+            s = 1.0 / r
+            bphi = bc + big_i * s
+            kb = k_bz + m * s * bphi  # k_co . B0
+            kb_sq = kb * kb
+            delta = rho_w - kb_sq
+            singular = abs(delta) <= 1e-30 * (scale + kb_sq)
+            b_sq = bz_sq + bphi * bphi
+            if cold:  # the sound-speed factors cancel algebraically
+                singular = singular | (b_sq == 0.0)
+                kappa_t_sq = rho_w / b_sq - (k_sq + m_sq * s * s)
+            else:
+                den = (rho_cs_sq + b_sq) * w_sq - cs_sq * kb_sq
+                den_scale = abs((rho_cs_sq + b_sq) * w_sq) + cs_sq * kb_sq + 1e-300
+                singular = singular | (abs(den) <= 1e-30 * den_scale)
+                kappa_t_sq = rho_w * w_sq / den - (k_sq + m_sq * s * s)
+            bphi_sq = bphi * bphi
+            return (-(bphi_sq * kappa_t_sq + 2.0 * bphi * k * (bphi * k - bz * m * s)) / delta,
+                    kappa_t_sq * r * r / delta,
+                    -(delta + bphi_sq * s * s * (bphi_sq * kappa_t_sq - 4.0 * k_bz * kb) / delta),
+                    singular)
+
+    return factors, ratios
 
 
-def _ratios(
-    eq: MhdEquilibrium, m: int, k: float, omega: complex, r: float
-) -> tuple[complex, complex, complex]:
+def _leg_ratios(eq: MhdEquilibrium, m: int, k: float, lo: float, hi: float):
+    """(params, ratios) of `_segment_form` over the radii between lo and
+    hi: ``params(omega)`` gives the factors of the segment the span lies
+    in, else of each segment it meets in turn (and ``ratios`` picks that of
+    each radius), as Python scalars for one omega or (k, n) rows for lane
+    omegas; a vanishing denominator makes them inf or NaN with a true
+    singular flag, not an error."""
+    lo, hi = min(lo, hi), max(lo, hi)
+    first, last = bisect.bisect_right(eq.interfaces, lo), bisect.bisect_right(eq.interfaces, hi)
+    forms = [_segment_form(seg, eq.gamma, m, k) for seg in eq.segments[first:last + 1]]
+    factors, ratios = forms[0]
+    if len(forms) > 1:
+        edges = eq.interfaces[first:last]
+        # each segment's ratios take r, then its own factors
+        starts = [0, *itertools.accumulate(f.__code__.co_argcount - 1 for _, f in forms)]
+        parts = [(f, slice(a, b)) for (_, f), a, b in zip(forms, starts, starts[1:])]
+
+        def factors(omega):
+            return tuple(x for f, _ in forms for x in f(omega))
+
+        def ratios(r, *values):
+            if not isinstance(r, np.ndarray):
+                f, part = parts[bisect.bisect_right(edges, r)]
+                return f(r, *values[part])
+            which = np.searchsorted(edges, r, side="right")
+            out = np.empty((4, r.size), dtype=complex)  # rf11, rf12, rf21, singular
+            for i in np.unique(which):
+                sel, (f, part) = which == i, parts[i]
+                for row, value in zip(out, f(r[sel], *(v[sel] for v in values[part]))):
+                    row[sel] = value
+            return out[0], out[1], out[2], out[3].real != 0.0
+
+    def params(omega):
+        with np.errstate(all="ignore"):
+            values = factors(np.asarray(omega, dtype=complex))
+        if np.ndim(omega):
+            return np.array(values, dtype=complex)
+        return tuple(np.asarray(v).item() for v in values)
+
+    return params, ratios
+
+
+def _leg_system(eq: MhdEquilibrium, m: int, k: float, lo: float, hi: float,
+                dimension: int, body, lane_body=None) -> tuple[OdeSystem, Callable]:
+    """dy/dr = body(r, y, rf11, rf12, rf21) over the radii between lo and
+    hi, whose parameter is ``params(omega)`` of `_leg_ratios`, and params.
+    The scalar rhs raises SingularSurface on resonance; the lane form, from
+    ``lane_body``, marks those lanes."""
+    params, ratios = _leg_ratios(eq, m, k, lo, hi)
+
+    def rhs(r, y, f):
+        try:
+            rf11, rf12, rf21, singular = ratios(r, *f)
+        except ZeroDivisionError:
+            singular = True
+        if singular:
+            raise SingularSurface(f"a continuous-spectrum denominator vanishes at r={r}")
+        return body(r, y, rf11, rf12, rf21)
+
+    def lanes(r, y, rows):
+        rf11, rf12, rf21, singular = ratios(r, *rows)
+        return np.array(lane_body(r, y, rf11, rf12, rf21)), singular
+
+    return OdeSystem(dimension, rhs, lanes if lane_body else None), params
+
+
+def _omega_system(eq: MhdEquilibrium, m: int, k: float, dimension: int, body) -> OdeSystem:
+    """`_leg_system` over all radii, with omega as its parameter."""
+    leg, params = _leg_system(eq, m, k, -math.inf, math.inf, dimension, body)
+    params = functools.lru_cache(maxsize=1)(params)
+    return OdeSystem(dimension, lambda r, y, omega: leg.rhs(r, y, params(omega)))
+
+
+def _ratios(eq: MhdEquilibrium, m: int, k: float, omega: complex,
+            r: float) -> tuple[complex, complex, complex]:
     """(rf11, rf12, rf21) at radius r; raises SingularSurface on resonance."""
-    try:
-        rf11, rf12, rf21, singular = _segment_ratios(eq.segment_at(r), eq.gamma, m, k, omega, r)
-    except ZeroDivisionError:
-        singular = True
-    if singular:
-        raise SingularSurface(f"a continuous-spectrum denominator vanishes at r={r}")
-    return rf11, rf12, rf21
-
-
-def _lane_ratios(eq: MhdEquilibrium, m: int, k: float, omega: np.ndarray, r: np.ndarray):
-    """`_segment_ratios` over lanes, each in the segment that holds its r."""
-    which = np.maximum(np.searchsorted([s.lo for s in eq.segments], r, side="right") - 1, 0)
-    if (which == which[0]).all():
-        return _segment_ratios(eq.segments[which[0]], eq.gamma, m, k, omega, r)
-    out = np.empty((4, r.size), dtype=complex)  # rf11, rf12, rf21, singular
-    for i in np.unique(which):
-        sel = which == i
-        out[:, sel] = _segment_ratios(eq.segments[i], eq.gamma, m, k, omega[sel], r[sel])
-    return out[0], out[1], out[2], out[3].real != 0.0
+    leg, params = _leg_system(eq, m, k, r, r, 0, lambda r, y, *ratios: ratios)
+    return leg.rhs(r, (), params(omega))
 
 
 def y_riccati_system(eq: MhdEquilibrium, m: int, k: float) -> OdeSystem:
-    def rhs(r: float, y: tuple[complex, ...], omega: complex) -> tuple[complex]:
-        rf11, rf12, rf21 = _ratios(eq, m, k, omega, r)
-        Y = y[0]
-        return ((rf21 * Y * Y - 2.0 * rf11 * Y - rf12) / r,)
-
-    return OdeSystem(dimension=1, rhs=rhs)
+    return _omega_system(eq, m, k, 1, lambda r, y, rf11, rf12, rf21: (
+        (rf21 * y[0] * y[0] - 2.0 * rf11 * y[0] - rf12) / r,))
 
 
 def y1_phi_system_rhs(
@@ -236,11 +270,8 @@ def y1_phi_system_rhs(
     """
     y4, y3 = state[0], state[1]
     diff = -2.0 * rf11  # rf22 - rf11
-    return (
-        (-rf21 - diff * y4 + (y4 * y4 - y3 * y3) * rf12) / r,
-        (2.0 * y3 * y4 * rf12 + 2.0 * rf11 * y3) / r,
-        2.0 * y3 * rf12 / r,
-    )
+    return ((-rf21 - diff * y4 + (y4 * y4 - y3 * y3) * rf12) / r,
+            (2.0 * y3 * y4 * rf12 + 2.0 * rf11 * y3) / r, 2.0 * y3 * rf12 / r)
 
 
 def y1_g_system_rhs(
@@ -253,28 +284,18 @@ def y1_g_system_rhs(
     """
     y4, y3 = state[0], state[1]
     diff = -2.0 * rf11  # rf22 - rf11
-    return (
-        (-rf21 - diff * y4 + rf12 * y4 * y4) / r,
-        (-y4 * rf12 + 0.5 * diff) / r,
-        rf12 * exp(-2.0 * y3) / r,
-    )
+    return ((-rf21 - diff * y4 + rf12 * y4 * y4) / r, (-y4 * rf12 + 0.5 * diff) / r,
+            rf12 * exp(-2.0 * y3) / r)
+
+
+def _y1_body(approach: Approach):
+    return y1_phi_system_rhs if approach is Approach.PHI else y1_g_system_rhs
 
 
 def y1_system(eq: MhdEquilibrium, m: int, k: float, approach: Approach) -> OdeSystem:
-    """The three-component y1 Schwarzian system (Y4, Y3, g1 or Phi1) as an
-    integrable OdeSystem, with its lane form; omega is its parameter."""
-    body = y1_phi_system_rhs if approach is Approach.PHI else y1_g_system_rhs
-    lane_body = functools.partial(body, exp=np.exp) if body is y1_g_system_rhs else body
-
-    def rhs(r: float, y: tuple[complex, ...], omega: complex):
-        rf11, rf12, rf21 = _ratios(eq, m, k, omega, r)
-        return body(r, y, rf11, rf12, rf21)
-
-    def lanes(r: np.ndarray, y: np.ndarray, omega: np.ndarray):
-        rf11, rf12, rf21, singular = _lane_ratios(eq, m, k, omega, r)
-        return np.array(lane_body(r, y, rf11, rf12, rf21)), singular
-
-    return OdeSystem(dimension=3, rhs=rhs, lanes=lanes)
+    """The three-component y1 Schwarzian system (Y4, Y3, g1 or Phi1) over
+    every radius as an integrable OdeSystem; omega is its parameter."""
+    return _omega_system(eq, m, k, 3, _y1_body(approach))
 
 
 @dataclass(frozen=True)
@@ -302,26 +323,10 @@ class CohnJetModel:
         return math.sqrt(2.0 * self.jet_pressure) * self.radius
 
     def equilibrium(self, outer: float = math.inf) -> MhdEquilibrium:
-        return MhdEquilibrium(
-            segments=(
-                ProfileSegment(
-                    lo=0.0,
-                    hi=self.radius,
-                    rho0=1.0,
-                    P0=self.jet_pressure,
-                    V0=self.M,
-                ),
-                ProfileSegment(
-                    lo=self.radius,
-                    hi=outer,
-                    rho0=self.eta,
-                    P0=0.0,
-                    V0=0.0,
-                    b_phi_over_r=self.field_constant,
-                ),
-            ),
-            gamma=self.gamma,
-        )
+        jet = ProfileSegment(0.0, self.radius, rho0=1.0, P0=self.jet_pressure, V0=self.M)
+        envelope = ProfileSegment(self.radius, outer, rho0=self.eta, P0=0.0, V0=0.0,
+                                  b_phi_over_r=self.field_constant)
+        return MhdEquilibrium(segments=(jet, envelope), gamma=self.gamma)
 
 
 DEFAULT_CUTS = (0.01, 10.0)
@@ -329,25 +334,24 @@ DEFAULT_G_LAUNCH = (0j, 0j, 0j)  # (Y4, Y3, g1) at the interface
 DEFAULT_PHI_LAUNCH = (0j, 1 + 0j, 0j)  # (Y4, Y3, Phi1) at the interface
 
 
-def _legs(eq: MhdEquilibrium, approach: Approach, launch, cuts, start: float):
-    """The launch state and the (from, to) radii of the inward and outward
-    legs; a start on an interface is nudged inside for the inward leg."""
+def _legs(eq: MhdEquilibrium, m: int, k: float, approach: Approach, launch, cuts,
+          start: float):
+    """The launch state and, for the inward then the outward leg, its from
+    and to radii, its y1 system and factor map (`_leg_system`); a start on
+    an interface is nudged inside for the inward leg."""
     if launch is None:
         launch = DEFAULT_PHI_LAUNCH if approach is Approach.PHI else DEFAULT_G_LAUNCH
     start_in = start * (1.0 - _INTERFACE_NUDGE) if start in eq.interfaces else start
-    return launch, ((start_in, cuts[0]), (start, cuts[1]))
+    body = _y1_body(approach)
+    lane_body = functools.partial(body, exp=np.exp) if body is y1_g_system_rhs else body
+    return launch, [(x0, x1, *_leg_system(eq, m, k, x0, x1, 3, body, lane_body))
+                    for x0, x1 in ((start_in, cuts[0]), (start, cuts[1]))]
 
 
 def jet_trajectories(
-    eq: MhdEquilibrium,
-    m: int,
-    k: float,
-    omega: complex,
-    approach: Approach = Approach.G,
-    launch: Sequence[complex] | None = None,
-    cuts: tuple[float, float] = DEFAULT_CUTS,
-    start: float = 1.0,
-    tol: Tolerances = Tolerances(rel=1e-8, abs=1e-10),
+    eq: MhdEquilibrium, m: int, k: float, omega: complex, approach: Approach = Approach.G,
+    launch: Sequence[complex] | None = None, cuts: tuple[float, float] = DEFAULT_CUTS,
+    start: float = 1.0, tol: Tolerances = Tolerances(rel=1e-8, abs=1e-10),
     store_path: bool = True,
 ) -> tuple[Trajectory, Trajectory]:
     """Integrate from the launch radius toward the axis and toward infinity.
@@ -357,11 +361,10 @@ def jet_trajectories(
     nudged one part in 10^9 to the matching side of each leg.  A leg that
     stalls before its cut raises StepFailure.
     """
-    launch, spans = _legs(eq, approach, launch, cuts, start)
-    sys = y1_system(eq, m, k, approach)
+    launch, legs = _legs(eq, m, k, approach, launch, cuts, start)
     inward, outward = (
-        integrate(sys, x0, x1, launch, omega, tol, store_path=store_path)
-        for x0, x1 in spans
+        integrate(sys, x0, x1, launch, params(omega), tol, store_path=store_path)
+        for x0, x1, sys, params in legs
     )
     raise_if_stalled(inward, outward)
     return inward, outward
@@ -388,17 +391,9 @@ class JetQuantizationFunction:
         eigenvalues.
         """
         inward, outward = jet_trajectories(
-            self.model.equilibrium(),
-            self.m,
-            self.k,
-            omega,
-            self.approach,
-            self.launch,
-            self.cuts,
-            start=self.model.radius,
-            tol=Tolerances(rel=self.rel_tol, abs=self.abs_tol),
-            store_path=False,
-        )
+            self.model.equilibrium(), self.m, self.k, omega, self.approach, self.launch,
+            self.cuts, start=self.model.radius,
+            tol=Tolerances(rel=self.rel_tol, abs=self.abs_tol), store_path=False)
         value = outward.y_end[2] - inward.y_end[2]
         if self.approach is Approach.PHI:
             return cmath.sin(value / 2.0)
@@ -409,12 +404,12 @@ class JetQuantizationFunction:
         the values (NaN where an evaluation failed) and per omega None or the
         name of the error `__call__` raises there."""
         eq = self.model.equilibrium()
-        launch, spans = _legs(eq, self.approach, self.launch, self.cuts, self.model.radius)
-        sys = y1_system(eq, self.m, self.k, self.approach)
+        launch, legs = _legs(eq, self.m, self.k, self.approach, self.launch, self.cuts,
+                             self.model.radius)
         tol = Tolerances(rel=self.rel_tol, abs=self.abs_tol)
         (_, inner, fail_in), (_, outer, fail_out) = (
-            integrate_lanes(sys, x0, x1, launch, omegas, tol)
-            for x0, x1 in spans)
+            integrate_lanes(sys, x0, x1, launch, params(omegas), tol)
+            for x0, x1, sys, params in legs)
         # __call__ raises an error of the inward leg, else one of the outward
         # leg, else StepFailure for a stall of either
         take_out = ~fail_in.astype(bool) | ((fail_in == StepFailure) & fail_out.astype(bool))

@@ -94,6 +94,87 @@ def assert_close(a, b, tol, label=""):
     assert abs(a - b) <= tol, f"{label}: {a} vs {b} (|diff|={abs(a - b):.3g} > {tol:.3g})"
 
 
+# Per-point profile accessors of an MhdEquilibrium.  No solve path reads
+# the profiles point by point; the tests check the equilibrium with them.
+def segment_at(eq, r):
+    """The segment holding r: lower-edge inclusive, so a point exactly on an
+    interface belongs to the outer segment."""
+    for seg in reversed(eq.segments):
+        if r >= seg.lo:
+            return seg
+    return eq.segments[0]
+
+
+def rho0(eq, r):
+    return segment_at(eq, r).rho0
+
+
+def P0(eq, r):
+    return segment_at(eq, r).P0
+
+
+def V0(eq, r):
+    return segment_at(eq, r).V0
+
+
+def B0z(eq, r):
+    return segment_at(eq, r).B0z
+
+
+def B0phi(eq, r):
+    seg = segment_at(eq, r)
+    return seg.b_phi_const + seg.b_phi_over_r / r
+
+
+def equilibrium_residual(eq, r, h=1e-6):
+    """Force-balance residual by central differences inside one piece."""
+
+    def total(rr):
+        return P0(eq, rr) + 0.5 * B0z(eq, rr) ** 2
+
+    def hoop(rr):
+        return 0.5 * (rr * B0phi(eq, rr)) ** 2
+
+    d_total = (total(r + h) - total(r - h)) / (2.0 * h)
+    d_hoop = (hoop(r + h) - hoop(r - h)) / (2.0 * h)
+    return d_total + d_hoop / r**2
+
+
+def segment_ratios(seg, gamma, m, k, omega, r):
+    """(rf11, rf12, rf21, singular) in one segment, straight from the
+    definitions, for scalar or lane-array omega and r: the reference for
+    the package's per-leg factored ratios.  ``singular`` marks a vanishing
+    continuous-spectrum denominator; the ratios there mean nothing, and an
+    exactly zero one raises ZeroDivisionError in a scalar call."""
+    rho = seg.rho0
+    bz = seg.B0z
+    bphi = seg.b_phi_const + seg.b_phi_over_r / r
+    b_sq = bz * bz + bphi * bphi
+    cs_sq = gamma * seg.P0 / rho
+    w_co = omega - k * seg.V0
+    w_co_sq = w_co * w_co
+    kb = k * bz + (m / r) * bphi  # k_co . B0
+    kco_sq = k * k + (m / r) ** 2
+    delta = rho * w_co_sq - kb * kb
+    scale = rho * (abs(w_co) + abs(k * seg.V0) + abs(omega)) ** 2 + kb * kb + 1e-300
+    singular = abs(delta) <= 1e-30 * scale
+    if seg.P0 == 0.0:
+        # cold plasma: the sound-speed factors cancel algebraically
+        singular = singular | (b_sq == 0.0)
+        kappa_t_sq = rho * w_co_sq / b_sq - kco_sq
+    elif not (bz or seg.b_phi_const or seg.b_phi_over_r):
+        kappa_t_sq = w_co_sq / cs_sq - kco_sq
+    else:
+        den = (rho * cs_sq + b_sq) * w_co_sq - cs_sq * kb * kb
+        den_scale = abs((rho * cs_sq + b_sq) * w_co_sq) + cs_sq * kb * kb + 1e-300
+        singular = singular | (abs(den) <= 1e-30 * den_scale)
+        kappa_t_sq = rho * w_co_sq * w_co_sq / den - kco_sq
+    rf11 = -(bphi * bphi * kappa_t_sq + 2.0 * bphi * k * (bphi * k - bz * m / r)) / delta
+    rf12 = kappa_t_sq * r * r / delta
+    rf21 = -(delta + (bphi * bphi / (r * r)) * (bphi * bphi * kappa_t_sq - 4.0 * bz * k * kb) / delta)
+    return rf11, rf12, rf21, singular
+
+
 def integrate_checkpoints(sys, x0, y0, checkpoints, lam=0j, tol=s.Tolerances()):
     """Chain integration legs so the state is sampled exactly at the
     requested abscissae (which must be strictly monotone away from x0).

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import schwarzian_sl as s
-from schwarzian_sl.cli import main
+from schwarzian_sl.cli import build_parser, main
 from schwarzian_sl.io import complex_columns, format_number, write_csv, write_json
 
 
@@ -123,6 +123,21 @@ def test_cli_solve_byte_identical(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_values_opening_with_a_negative_number(tmp_path, capsys):
+    # argparse reads "-5,6" as an unknown option unless told otherwise
+    for flags in (["--range", "-5,6"], ["--range=-5,6"]):
+        out = tmp_path / "m.csv"
+        assert main(["solve", "--problem", "morse", *flags, "--samples", "24",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "in (-5.0, 6.0)" in printed and "n=0: 4.75000" in printed
+    args = build_parser().parse_args(
+        ["dispersion", "--problem", "cohn", "--kgrid", "-1,1,3", "--region", "-1,2,0.1,1"])
+    assert (args.kgrid, args.region) == ("-1,1,3", "-1,2,0.1,1")
+    args = build_parser().parse_args(["web", "--problem", "cohn", "--region", "-2,2,0,1"])
+    assert args.region == "-2,2,0,1"
 
 
 def test_cli_unknown_problem_is_config_error():

@@ -10,7 +10,18 @@ from schwarzian_sl import mhd
 from schwarzian_sl.mhd import _ratios
 from schwarzian_sl.schwarzian import Approach
 
-from conftest import assert_close, axis_limits, integrate_checkpoints
+from conftest import (
+    B0phi,
+    P0,
+    V0,
+    assert_close,
+    axis_limits,
+    equilibrium_residual,
+    integrate_checkpoints,
+    rho0,
+    segment_at,
+    segment_ratios,
+)
 
 K = math.pi
 OMEGA = 3.0 + 2.0j
@@ -31,26 +42,26 @@ def test_cohn_model_constants(cohn_model):
 
 
 def test_cohn_profiles(eq):
-    assert eq.rho0(0.5) == 1.0 and eq.rho0(3.0) == 0.01
-    assert eq.P0(0.5) == 0.6 and eq.P0(3.0) == 0.0
-    assert eq.V0(0.5) == 1.0 and eq.V0(3.0) == 0.0
+    assert rho0(eq, 0.5) == 1.0 and rho0(eq, 3.0) == 0.01
+    assert P0(eq, 0.5) == 0.6 and P0(eq, 3.0) == 0.0
+    assert V0(eq, 0.5) == 1.0 and V0(eq, 3.0) == 0.0
     # interior sound speed is 1 in jet units
-    assert_close(math.sqrt(eq.gamma * eq.P0(0.5) / eq.rho0(0.5)), 1.0, 1e-12)
+    assert_close(math.sqrt(eq.gamma * P0(eq, 0.5) / rho0(eq, 0.5)), 1.0, 1e-12)
     # the interface point belongs to the outer segment
-    assert eq.segment_at(1.0).rho0 == 0.01
+    assert segment_at(eq, 1.0).rho0 == 0.01
     assert eq.interfaces == (1.0,)
 
 
 def test_equilibrium_residual_on_smooth_pieces(eq):
     for r in (0.1, 0.5, 0.9, 1.5, 3.0, 8.0):
-        assert abs(eq.equilibrium_residual(r)) <= 1e-10
+        assert abs(equilibrium_residual(eq, r)) <= 1e-10
 
 
 def test_equilibrium_json_round_trip(eq):
     doc = eq.to_dict()
     rebuilt = s.MhdEquilibrium.from_dict(doc)
     assert rebuilt == eq
-    assert rebuilt.B0phi(2.0) == eq.B0phi(2.0)
+    assert B0phi(rebuilt, 2.0) == B0phi(eq, 2.0)
 
 
 # ------------------------------------------------------ coefficient ratios
@@ -435,8 +446,9 @@ def test_lane_ratios_match_scalar_across_segments(eq):
     r = np.concatenate([[1.0, 0.5], rng.uniform(0.05, 6.0, 30)])
     omega = rng.uniform(1.0, 5.0, r.size) + 1j * rng.uniform(0.5, 3.0, r.size)
     omega[1] = K
+    params, leg_ratios = mhd._leg_ratios(eq, 1, K, 0.05, 6.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # the singular lane
-        *ratios, singular = mhd._lane_ratios(eq, 1, K, omega, r)
+        *ratios, singular = leg_ratios(r, *params(omega))
     assert singular.tolist() == [False, True] + [False] * 30
     with pytest.raises(s.SingularSurface):
         _ratios(eq, 1, K, complex(omega[1]), 0.5)
@@ -444,3 +456,69 @@ def test_lane_ratios_match_scalar_across_segments(eq):
         want = _ratios(eq, 1, K, complex(omega[j]), float(r[j]))
         for got, value in zip(ratios, want):
             assert abs(got[j] - value) <= 1e-13 * abs(value)
+
+
+# A hydrodynamic core, a warm magnetized layer with every field term set, and
+# a cold envelope with B0phi = I/r: one segment of each form.  Only the
+# algebra of the ratios is checked, so the profiles need not balance.
+MIXED = s.MhdEquilibrium.from_dict({"gamma": 5.0 / 3.0, "segments": [
+    {"lo": 0, "hi": 1, "rho0": 1.0, "P0": 0.6, "V0": 1.0},
+    {"lo": 1, "hi": 2, "rho0": 0.5, "P0": 0.3, "V0": 0.4,
+     "B0z": 0.7, "b_phi_const": 0.4, "b_phi_over_r": 0.3},
+    {"lo": 2, "hi": "inf", "rho0": 0.25, "P0": 0.0, "b_phi_over_r": 1.0},
+]})
+
+
+def _direct(eq, m, k, omega, r):
+    """The reference ratios at r, or None where they are singular."""
+    try:
+        *ratios, singular = segment_ratios(segment_at(eq, r), eq.gamma, m, k, omega, r)
+    except ZeroDivisionError:
+        return None
+    return None if singular else ratios
+
+
+def _factored(eq, m, k, omega, r):
+    try:
+        return _ratios(eq, m, k, omega, r)
+    except s.SingularSurface:
+        return None
+
+
+@pytest.mark.parametrize("which", ["cohn", "mixed"])
+def test_factored_ratios_match_direct_formula(eq, which):
+    # scalar calls, and lanes along one leg across every interface
+    equilibrium = eq if which == "cohn" else MIXED
+    rng = np.random.default_rng(17)
+    for m in range(-2, 3):
+        r = rng.uniform(0.05, 6.0, 40)
+        omega = rng.uniform(-5.0, 5.0, r.size) + 1j * rng.uniform(-3.0, 3.0, r.size)
+        params, leg_ratios = mhd._leg_ratios(equilibrium, m, K, 6.0, 0.05)
+        *lanes, singular = leg_ratios(r, *params(omega))
+        assert not singular.any()
+        for j in range(r.size):
+            want = _direct(equilibrium, m, K, omega[j], r[j])
+            got = _factored(equilibrium, m, K, complex(omega[j]), float(r[j]))
+            for a, b, c in zip(want, got, lanes):
+                assert abs(b - a) <= 1e-12 * abs(a)
+                assert abs(c[j] - a) <= 1e-12 * abs(a)
+
+
+@pytest.mark.parametrize("which, m, omega, r", [
+    ("cohn", 0, complex(K), 0.5),  # flow resonance omega = k V0 in the jet
+    ("cohn", 2, complex(K), 0.5),
+    ("cohn", 0, 0j, 2.0),  # omega = 0 in the static envelope
+    ("mixed", 1, 0.5 + 0j, 2.0),  # Alfven radius: rho omega^2 = (m I / r^2)^2
+    ("cohn", 0, OMEGA, 0.0),  # the axis
+    ("cohn", 1, OMEGA, 0.0),
+])
+def test_factored_ratios_singular_where_direct_formula_is(eq, which, m, omega, r):
+    equilibrium = eq if which == "cohn" else MIXED
+    assert _direct(equilibrium, m, K, omega, r) is None
+    assert _factored(equilibrium, m, K, omega, r) is None
+    params, leg_ratios = mhd._leg_ratios(equilibrium, m, K, r, r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        *_, singular = leg_ratios(np.array([r]), *params(np.array([omega])))
+    assert singular.tolist() == [True]
+    # a nudge off the surface is regular again
+    assert _factored(equilibrium, m, K, omega + 1e-3j, r + 1e-3) is not None
