@@ -195,11 +195,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if scan.failures:
         print(f"{len(scan.failures)} failed sample(s) at lambda = "
               f"{[lam for lam, _ in scan.failures]}", file=sys.stderr)
-    eigenvalues: list[complex] = [complex(c.eigenvalue) for c in scan.crossings]
-    # the Phi winding of the state with n nodes is n + 1, and the asymptotic
-    # targets count nodes; the finite-interval targets count from 1, as the
-    # minimalist phase does
-    ns = [c.n if method == "minimalist" else c.n - 1 for c in scan.crossings]
+    # the Phi winding of the state with n nodes is n + 1, and exactly 0 below
+    # the ground state (Phi is purely imaginary there); the asymptotic targets
+    # count nodes, the finite-interval ones from 1, as the minimalist phase does
+    crossings = [c for c in scan.crossings if method == "minimalist" or c.n > 0]
+    eigenvalues: list[complex] = [complex(c.eigenvalue) for c in crossings]
+    ns = [c.n if method == "minimalist" else c.n - 1 for c in crossings]
     if method == "schwarzian-g":  # bracketed on the Phi winding, polished on g
         g_value = lambda lam: g_difference_value(problem, lam, tol)
         eigenvalues = [refine_complex_root(g_value, ev, tol=1e-10) for ev in eigenvalues]

@@ -1,5 +1,6 @@
-"""Every package name the demos and the benchmark scripts use must resolve
-(running them is too slow for the test run; the scripts are only read)."""
+"""Every package name the demos, the benchmark scripts and the README's
+library quick start use must resolve (running them is too slow for the test
+run; the sources are only read)."""
 
 import ast
 import importlib
@@ -28,6 +29,16 @@ def imports_package(path: Path) -> bool:
 BENCH_SCRIPTS = [
     p for p in sorted((ROOT / "perfbench").glob("*.py")) if imports_package(p)
 ]
+
+
+def readme_quick_start() -> str:
+    """The Python block of the README section "Library quick start"."""
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+SOURCES = {p.name: p.read_text() for p in DEMOS + BENCH_SCRIPTS}
+SOURCES["README.md"] = readme_quick_start()
 
 
 def package_names(tree: ast.Module) -> list[tuple[str, str]]:
@@ -71,11 +82,11 @@ def test_demos_found():
     assert len(BENCH_SCRIPTS) >= 3
 
 
-@pytest.mark.parametrize("path", DEMOS + BENCH_SCRIPTS, ids=lambda p: p.name)
-def test_demo_names_resolve(path):
-    used = package_names(ast.parse(path.read_text(), filename=str(path)))
-    assert used, f"{path.name} uses nothing from {PACKAGE}"
+@pytest.mark.parametrize("source", list(SOURCES))
+def test_demo_names_resolve(source):
+    used = package_names(ast.parse(SOURCES[source], filename=source))
+    assert used, f"{source} uses nothing from {PACKAGE}"
     missing = [
         f"{module}.{name}" for module, name in used if not resolves(module, name)
     ]
-    assert not missing, f"{path.name}: {missing}"
+    assert not missing, f"{source}: {missing}"

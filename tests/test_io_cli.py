@@ -140,6 +140,22 @@ def test_cli_values_opening_with_a_negative_number(tmp_path, capsys):
     assert args.region == "-2,2,0,1"
 
 
+@pytest.mark.parametrize("method", ["schwarzian-phi", "schwarzian-g"])
+def test_cli_solve_scan_below_the_ground_state(capsys, method):
+    # below the ground state the Phi winding is exactly 0, so a scan that
+    # starts there must not report its first sample as an eigenvalue
+    for argv, levels in (
+        (["--problem", "morse", "--range=-5,6", "--samples", "24"], ["4.75"]),
+        (["--problem", "harmonic", "--range=-3,2", "--samples", "20"], ["0.5", "1.5"]),
+    ):
+        assert main(["solve", *argv, "--method", method]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"{len(levels)} eigenvalue(s)" in lines[0]
+        found = [line.split()[:2] for line in lines[1:]]
+        assert [n for n, _ in found] == [f"n={n}:" for n in range(len(levels))]
+        assert [round(float(v), 6) for _, v in found] == [float(v) for v in levels]
+
+
 def test_cli_unknown_problem_is_config_error():
     assert main(["solve", "--problem", "unobtainium"]) == 2
 

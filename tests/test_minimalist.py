@@ -56,15 +56,15 @@ def test_phi_rhs_paine_coefficients(paine_problem):
 def test_phi_rhs_passes_f_zeros_smoothly(paine_problem):
     # Phi = 2 n pi is an infinity of cot but an ordinary point of Phi':
     # the value reduces to 2 F2 / p
-    sub = PhiSubstitution(F1=lambda x: 0j, F2=lambda x: 2 + 0j)
+    sub = PhiSubstitution(F1=0j, F2=2 + 0j)
     for n in (0, 1, 3):
         value = phi_rhs(paine_problem, sub, 0.5, 2 * math.pi * n + 0j, 7.0)
         assert_close(value, 4.0, 1e-9, f"2 F2/p at Phi=2pi*{n}")
 
 
 def test_phi_rhs_zero_gauge_raises(paine_problem):
-    sub = PhiSubstitution(F1=lambda x: 0j, F2=lambda x: 0j)
     with pytest.raises(s.ZeroGauge):
+        sub = PhiSubstitution(F1=0j, F2=0j)
         phi_rhs(paine_problem, sub, 0.5, 0j, 7.0)
 
 
@@ -84,17 +84,12 @@ def test_riccati_consistency_identity(paine_problem):
     # wherever cot(Phi/2) is finite, F = F1 + F2 cot(Phi/2) built from the
     # phase equation satisfies the Riccati equation identically
     rng = np.random.default_rng(7)
-    sub = PhiSubstitution(
-        F1=lambda x: 0.3 + 0.1j,
-        F2=lambda x: 1.5 - 0.2j,
-        F1_prime=lambda x: 0j,
-        F2_prime=lambda x: 0j,
-    )
+    sub = PhiSubstitution(F1=0.3 + 0.1j, F2=1.5 - 0.2j)
     for _ in range(25):
         x = float(rng.uniform(0.2, 3.0))
         lam = complex(rng.uniform(0, 30), rng.uniform(-1, 1))
         phi = complex(rng.uniform(0.3, 5.9), rng.uniform(-0.8, 0.8))
-        f1, f2 = sub.F1(x), sub.F2(x)
+        f1, f2 = sub.F1, sub.F2
         w = phi / 2.0
         cot = cmath.cos(w) / cmath.sin(w)
         F = f1 + f2 * cot
@@ -138,10 +133,10 @@ def test_stalled_phase_is_a_failed_scan_sample(paine_problem):
     assert scan.crossings == []
 
 
-def _paine_with_lower_ratio(f_bc):
+def _paine_with_ratios(lower, upper="inf"):
     return s.problem_from_json({
         "problem": {"name": "paine"},
-        "boundaries": [{"kind": "ratio", "f_bc": f_bc}, {"kind": "ratio", "f_bc": "inf"}],
+        "boundaries": [{"kind": "ratio", "f_bc": lower}, {"kind": "ratio", "f_bc": upper}],
     })
 
 
@@ -149,7 +144,7 @@ def _paine_with_lower_ratio(f_bc):
 def test_winding_lanes_match_scalar_calls(paine_problem, f_bc):
     # a finite lower ratio value gives each lane its own start phase, and
     # F = 0 (f' = 0) starts both paths at Phi = pi
-    problem = paine_problem if f_bc == "inf" else _paine_with_lower_ratio(f_bc)
+    problem = paine_problem if f_bc == "inf" else _paine_with_ratios(f_bc)
     winding = s.FiniteIntervalWinding(problem, s.Tolerances(rel=1e-9, abs=1e-11))
     lams = 0.0 + (np.arange(0, 200, 5) + 0.5) + 0j  # every fifth Paine grid point
     values, kinds = winding.lanes(lams)
@@ -191,3 +186,56 @@ def test_scan_over_winding_lanes_matches_scalar_scan(paine_problem):
     assert [c.n for c in lanes.crossings] == [c.n for c in scalar.crossings] == list(range(1, 8))
     for a, b in zip(lanes.eigenvalues, scalar.eigenvalues):
         assert abs(a - b) <= rel_width * abs(b)
+
+
+def _sine_problem(f_upper):
+    # p = 1, q = lam on [0, pi] with f(0) = 0 and F(pi) = f_upper
+    return s.SLProblem(
+        coefficients=s.Coefficients(p=lambda x, lam: 1.0 + 0.0 * x, q=lambda x, lam: lam + 0.0 * x),
+        domain=s.Domain(0.0, math.pi, start=1.0, lower_cut=0.0, upper_cut=math.pi),
+        boundaries=(s.BoundarySpec.ratio(float("inf")), s.BoundarySpec.ratio(f_upper)),
+    )
+
+
+@pytest.mark.parametrize("f_upper,expected", [
+    (float("inf"), [1.0, 4.0, 9.0]),               # sin(sqrt(lam) pi) = 0
+    (0.0, [0.25, 2.25, 6.25, 12.25]),              # cos(sqrt(lam) pi) = 0
+    (1.0, [1.6643829, 5.6313804, 11.6225018]),     # sqrt(lam) cot(sqrt(lam) pi) = 1
+])
+def test_winding_honours_the_upper_ratio_value(f_upper, expected):
+    winding = s.FiniteIntervalWinding(_sine_problem(f_upper), s.Tolerances(rel=1e-10, abs=1e-12))
+    lanes = s.scan_real(winding, (0.0, 14.0), 35)
+    scalar = s.scan_real(lambda lam: winding(lam), (0.0, 14.0), 35)
+    assert lanes.failures == scalar.failures == []
+    assert [c.n for c in lanes.crossings] == [c.n for c in scalar.crossings]
+    assert np.allclose(lanes.eigenvalues, expected, rtol=0, atol=1e-7)
+    assert np.allclose(scalar.eigenvalues, expected, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("f_upper", [0.0, 2.0, [-0.5, 1.5]])
+def test_winding_lanes_match_scalar_calls_with_an_upper_ratio_value(f_upper):
+    winding = s.FiniteIntervalWinding(_paine_with_ratios("inf", f_upper),
+                                      s.Tolerances(rel=1e-9, abs=1e-11))
+    lams = 0.0 + (np.arange(0, 200, 5) + 0.5) + 0j
+    values, kinds = winding.lanes(lams)
+    assert kinds == [None] * lams.size
+    scalar = np.array([winding(lam) for lam in lams.tolist()])
+    assert np.abs(values - scalar).max() <= 1e-9
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_degenerate_ratio_value_is_a_failed_sample(end):
+    # F = i is F1 + i F2 in the scaled gauge wherever kappa = 1, which holds
+    # for Paine up to lam ~ 4.1; both paths record DegenerateBoundary there
+    ratios = ["inf", "inf"]
+    ratios[end] = [0.0, 1.0]
+    winding = s.FiniteIntervalWinding(_paine_with_ratios(*ratios))
+    with pytest.raises(s.DegenerateBoundary):
+        winding(1.0)
+    values, kinds = winding.lanes(np.array([1.0, 10.0, 30.0], dtype=complex))
+    assert kinds == ["DegenerateBoundary", None, None]
+    assert np.isnan(values[0]) and abs(values[1] - winding(10.0)) <= 1e-9
+    lanes = s.scan_real(winding, (0.5, 60.0), 20)
+    scalar = s.scan_real(lambda lam: winding(lam), (0.5, 60.0), 20)
+    assert lanes.failures == scalar.failures == [(1.9875, "DegenerateBoundary")]
+    assert [c.n for c in lanes.crossings] == [c.n for c in scalar.crossings]
