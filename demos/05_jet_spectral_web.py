@@ -6,7 +6,7 @@ the unstable eigenvalue as a +1 winding charge, which a few secant steps
 then polish.  The published root for M = 1, eta = 0.01 is 3.08 + 1.97i.
 
 The web integrates all its grid points at once, as the lanes of one
-vectorized Dormand-Prince run per leg; --workers splits the lanes over
+vectorized DOP853 run per leg; --workers splits the lanes over
 that many processes.  A coarse grid suffices for detection; pass a larger
 --grid for pictures (200x200 takes about 10 s in one process).
 """

@@ -207,7 +207,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     print(f"{problem.label}: {len(eigenvalues)} eigenvalue(s) in ({lo}, {hi})")
     for n, ev in zip(ns, eigenvalues):
-        print(f"  n={n}: {ev.real:.12g}" + (f" + {ev.imag:.3g}i" if ev.imag else ""))
+        sign = "-" if ev.imag < 0 else "+"
+        print(f"  n={n}: {ev.real:.12g}" + (f" {sign} {abs(ev.imag):.3g}i" if ev.imag else ""))
     meta = _meta(args, label=problem.label)
     columns = [("n", ns)] + complex_columns("eigenvalue", eigenvalues)
     payload = {

@@ -1,22 +1,23 @@
 """Adaptive integration of complex-valued first-order ODE systems.
 
-The engine is an embedded Dormand-Prince 5(4) pair with PI step-size
-control, operating on tuples of Python complex scalars (the systems here
-have dimension <= 4, where scalar arithmetic beats array overhead).
+The engine is DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand and
+Prince, with Hairer's error norm and step-size control (``dop853.f``),
+operating on tuples of Python complex scalars (the systems here have
+dimension <= 4, where scalar arithmetic beats array overhead).
 Integration runs along a real independent variable in either direction.
 ``integrate_lanes`` runs the same pair and controller over many parameter
 values at once, one lane each: the independent samples of a web or of a
 real scan grid, with an optional per-lane terminal event.
 
-One step attempt, ``_dp_attempt``, serves both engines.  It combines the
-stages one component at a time: each Python complex of the scalar state,
-or the whole (dim, n) lane block as a single component.  Its stages are
-spelled out, not looped over tableau rows: on the scalar path such a loop
-made a dim-3 attempt two to three times slower (15 us unrolled against
-21-35 us, 2 vCPUs, Python 3.11).  Lanes match scalar calls only to about
-1e-13, because numpy and Python complex arithmetic can differ in the last
-bit.  Step-size control stays per engine, so that the scalar step stays a
-Python float.
+The tableau is data.  One generator, ``_attempt(dim)``, compiles it on
+first use into a straight-line step attempt per state dimension, zero
+coefficients skipped; ``integrate_lanes`` uses the dimension-1 attempt on
+the whole (dim, n) lane block as a single component.  A step of size h
+has the error err = |h| s5 / sqrt(n (s5 + 0.01 s3)), where s5 and s3 sum
+(|e_i| / sc_i)^2 of the 5th- and 3rd-order estimates over the n
+components and sc_i = abs + rel max(|y_i|, |y_new_i|).  It is accepted
+when err <= 1; the next step is h 0.9 / err^(1/8), within 0.2 h to 10 h
+(I control, beta = 0).
 
 Stopping semantics:
 
@@ -32,6 +33,7 @@ Stopping semantics:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -116,67 +118,135 @@ class Trajectory:
         return self.terminal[1]
 
 
-# Dormand-Prince 5(4) tableau.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168,
-    -355 / 33,
-    46732 / 5247,
-    49 / 176,
-    -5103 / 18656,
+# DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand and Prince as
+# Hairer codes it (Hairer, Norsett and Wanner, *Solving ODEs I*, 2nd ed.,
+# Springer 1993, section II.10; Hairer's dop853.f).  Stage s + 1 is
+# evaluated at x + _C[s] h on y + h sum_j _A[s][j] k_(j+1); _B weights the
+# 12 stages of the 8th-order solution.  The error rows _E5 and _E3 weight
+# the 12 stages and, last, f(x + h, y_new).
+_C = (
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
 )
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+_A = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
 )
+_B = (
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+)
+_E5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1, 0.0,
+)
+_E3 = tuple(b - bhh for b, bhh in zip(_B + (0.0,), (  # b minus dop853.f's bhh
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1, 0.0)))
 
-# Hairer-style PI controller.
+# Step-size control of dop853.f, with beta = 0 (no PI memory): h grows by
+# _SAFETY / err**(1/8), within these bounds.
 _SAFETY = 0.9
-_BETA = 0.04
-_EXPO = 0.2 - 0.75 * _BETA
 _MIN_FACTOR = 0.2  # strongest shrink per step
 _MAX_FACTOR = 10.0  # strongest growth per step
 
 _ARITHMETIC_ERRORS = (OverflowError, ZeroDivisionError, FloatingPointError)
 
 
-def _dp_attempt(
-    rhs: Callable, x, y: Sequence, f: Sequence, hd, x_new, lam,
-) -> tuple[tuple, Sequence, tuple]:
-    """One Dormand-Prince 5(4) step attempt of size hd from (x, y), where
-    f = rhs(x, y, lam); returns (y_new, k7 = rhs(x_new, y_new, lam), err).
+# The lane engine repeats the scalar arithmetic bit for bit, so that a
+# lane takes the scalar steps.  DOP853's error sums cancel to about 1e-10
+# of their terms, so one differing last bit in a stage moves err by about
+# 1e-6 and the following steps by about 1e-8.  So |z| is np.hypot, as
+# Python's abs(complex) is (np.abs differs), and err**(1/8) is three
+# correctly rounded square roots (numpy's power and the C library's differ).
+def _root8(v: float) -> float:
+    return math.sqrt(math.sqrt(math.sqrt(v)))
 
-    y, f and every stage are sequences of components (Python complexes, or
-    one (dim, n) lane block with x, hd and x_new of shape (n,)).
+
+def _lane_root8(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sqrt(np.sqrt(v)))
+
+
+def _lane_abs(z: np.ndarray) -> np.ndarray:
+    return np.hypot(z.real, z.imag)
+
+
+def _lane_rms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v * v).sum(axis=0) / v.shape[0])
+
+
+@functools.cache
+def _attempt(dim: int) -> Callable:
+    """The DOP853 step attempt for states of ``dim`` components.
+
+    ``attempt(rhs, x, y, f, hd, x_new, lam) -> (y_new, k13, e5, e3)`` takes
+    one step of size hd from (x, y), where f = rhs(x, y, lam).  k13 =
+    rhs(x_new, y_new, lam) is the next step's f, and e5 and e3 are the
+    error rows' sums over the stages, not yet times h.  y, f and every
+    stage are sequences of ``dim`` components: Python complexes, or one
+    (dim, n) lane block with x, hd and x_new of shape (n,).  The attempt is
+    straight-line code compiled from the tableau rows, zero coefficients
+    skipped; its source is ``attempt.source``.
     """
-    k2 = rhs(x + _C2 * hd, tuple([a + hd * (_A21 * b) for a, b in zip(y, f)]), lam)
-    k3 = rhs(x + _C3 * hd, tuple([a + hd * (_A31 * b + _A32 * c)
-                                  for a, b, c in zip(y, f, k2)]), lam)
-    k4 = rhs(x + _C4 * hd, tuple([a + hd * (_A41 * b + _A42 * c + _A43 * d)
-                                  for a, b, c, d in zip(y, f, k2, k3)]), lam)
-    k5 = rhs(x + _C5 * hd, tuple([a + hd * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
-                                  for a, b, c, d, e in zip(y, f, k2, k3, k4)]), lam)
-    k6 = rhs(x + hd, tuple([a + hd * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
-                            for a, b, c, d, e, g in zip(y, f, k2, k3, k4, k5)]), lam)
-    y_new = tuple([a + hd * (_B1 * b + _B3 * d + _B4 * e + _B5 * g + _B6 * j)
-                   for a, b, d, e, g, j in zip(y, f, k3, k4, k5, k6)])
-    k7 = rhs(x_new, y_new, lam)  # FSAL: the next step's f
-    err = tuple([hd * (_E1 * b + _E3 * d + _E4 * e + _E5 * g + _E6 * j + _E7 * m)
-                 for b, d, e, g, j, m in zip(f, k3, k4, k5, k6, k7)])
-    return y_new, k7, err
+    comps = range(dim)
 
+    def tup(items) -> str:
+        return "(" + ", ".join(items) + ",)"
 
-def _rms(values: list[float]) -> float:
-    return math.sqrt(sum(v * v for v in values) / len(values))
+    def combo(weights, i: int) -> str:  # sum_j w_j k_(j+1) of component i
+        return " ".join(f"{'-' if w < 0 else '+'} {abs(w)!r} * k{j + 1}_{i}"
+                        for j, w in enumerate(weights) if w).lstrip("+ ")
+
+    lines = ["def attempt(rhs, x, y, f, hd, x_new, lam):",
+             f"    {tup(f'y_{i}' for i in comps)} = y",
+             f"    {tup(f'k1_{i}' for i in comps)} = f"]
+    for s in range(1, len(_C)):
+        at = "x + hd" if _C[s] == 1.0 else f"x + {_C[s]!r} * hd"
+        state = tup(f"y_{i} + hd * ({combo(_A[s], i)})" for i in comps)
+        lines.append(f"    {tup(f'k{s + 1}_{i}' for i in comps)} = rhs({at}, {state}, lam)")
+    lines.append(f"    y_new = {tup(f'y_{i} + hd * ({combo(_B, i)})' for i in comps)}")
+    lines.append("    k13 = rhs(x_new, y_new, lam)")  # both error rows weight it 0
+    lines.append(f"    return y_new, k13, {tup(combo(_E5, i) for i in comps)}, "
+                 f"{tup(combo(_E3, i) for i in comps)}")
+    source = "\n".join(lines) + "\n"
+    namespace: dict = {}
+    exec(compile(source, f"<DOP853 attempt, dim {dim}>", "exec"), namespace)
+    attempt = namespace["attempt"]
+    attempt.source = source
+    return attempt
 
 
 def _initial_step(
@@ -189,19 +259,24 @@ def _initial_step(
     span: float,
     tol: Tolerances,
 ) -> float:
+    """The first step: HINIT of dop853.f (iord = 8), with RMS norms."""
     scale = [tol.abs + tol.rel * abs(v) for v in y0]
-    d0 = _rms([abs(y0[i]) / scale[i] for i in range(len(y0))])
-    d1 = _rms([abs(f0[i]) / scale[i] for i in range(len(y0))])
+
+    def rms(v: Sequence[complex]) -> float:
+        scaled = [abs(a) / s for a, s in zip(v, scale)]
+        return math.sqrt(sum([t * t for t in scaled]) / len(scaled))
+
+    d0, d1 = rms(y0), rms(f0)
     h0 = 1e-6 * span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     try:
         y1 = tuple(y0[i] + direction * h0 * f0[i] for i in range(len(y0)))
         f1 = tuple(rhs(x0 + direction * h0, y1, lam))
-        d2 = _rms([abs(f1[i] - f0[i]) / scale[i] for i in range(len(y0))]) / h0
+        d2 = rms([a - b for a, b in zip(f1, f0)]) / h0
     except _ARITHMETIC_ERRORS:
         d2 = 0.0
     d_max = max(d1, d2)
-    h1 = (0.01 / d_max) ** 0.2 if d_max > 1e-15 else max(1e-6 * span, h0 * 1e3)
+    h1 = _root8(0.01 / d_max) if d_max > 1e-15 else max(1e-6 * span, h0 * 1e3)
     return min(100.0 * h0, h1)
 
 
@@ -241,8 +316,8 @@ def integrate(
     xs = [x0]
     ys = [y]
     x = x0
-    fac_old = 1e-4
     reason = StopReason.STEP_FAILURE
+    attempt = _attempt(n)
 
     steps = 0
     while steps < tol.max_steps:
@@ -259,8 +334,8 @@ def integrate(
 
         x_new = x1 if last else x + hd
         try:
-            y_new, k7, err = _dp_attempt(rhs, x, y, f, hd, x_new, lam)
-            bad = not all(map(cmath.isfinite, y_new + err))
+            y_new, k13, e5, e3 = attempt(rhs, x, y, f, hd, x_new, lam)
+            bad = not all(map(cmath.isfinite, y_new + e5 + e3))
         except _ARITHMETIC_ERRORS:
             bad = True
 
@@ -268,13 +343,19 @@ def integrate(
             h *= 0.1
             continue
 
-        err_norm = _rms([abs(e) / (tol.abs + tol.rel * max(abs(a), abs(b)))
-                         for e, a, b in zip(err, y, y_new)])
+        s5 = s3 = 0.0
+        for a, b, p, q in zip(y, y_new, e5, e3):
+            scale = tol.abs + tol.rel * max(abs(a), abs(b))
+            p, q = abs(p) / scale, abs(q) / scale
+            s5 += p * p
+            s3 += q * q
+        deno = s5 + 0.01 * s3
+        err = h * s5 / math.sqrt(n * (deno if deno > 0.0 else 1.0))
 
-        if err_norm <= 1.0:
+        if err <= 1.0:
             x = x_new
             y = y_new
-            f = tuple(k7)  # FSAL
+            f = tuple(k13)  # FSAL
             if store_path:
                 xs.append(x)
                 ys.append(y)
@@ -284,14 +365,7 @@ def integrate(
             if last:
                 reason = StopReason.REACHED_END
                 break
-            fac11 = max(err_norm, 1e-10) ** _EXPO
-            factor = fac11 / fac_old**_BETA / _SAFETY
-            factor = max(1.0 / _MAX_FACTOR, min(1.0 / _MIN_FACTOR, factor))
-            h = h / factor
-            fac_old = max(err_norm, 1e-4)
-        else:
-            fac11 = err_norm**_EXPO
-            h = h / min(1.0 / _MIN_FACTOR, fac11 / _SAFETY)
+        h = h / max(1.0 / _MAX_FACTOR, min(1.0 / _MIN_FACTOR, _root8(err) / _SAFETY))
 
     if not store_path:
         xs = [x0, x] if x != x0 else [x0]
@@ -304,10 +378,6 @@ def integrate(
     )
 
 
-def _lane_rms(v: np.ndarray) -> np.ndarray:
-    return np.sqrt((v * v).sum(axis=0) / v.shape[0])
-
-
 def integrate_lanes(
     sys: OdeSystem, x0: float, x1: float, y0: Sequence[complex] | np.ndarray,
     lam: np.ndarray, tol: Tolerances = Tolerances(),
@@ -316,26 +386,26 @@ def integrate_lanes(
     """`integrate` from x0 to x1 once per parameter in ``lam``, as lanes.
 
     Lane j starts from y0 ((dim,), or (dim, n) per lane) with lam[..., j]
-    and takes the steps `integrate` takes, with its own x, h, PI-controller
-    memory and step budget (Hairer, Norsett and Wanner, *Solving ODEs I*,
-    section II.4); it leaves the batch when it ends.  ``lam`` is (n,), or
-    (k, n) for k parameters per lane, lane axis last.  ``sys.lanes`` maps
-    x (n,), y (dim, n) and the live lanes' lam to f (dim, n) and a mask of
-    lanes where the rhs is singular.
+    and takes the steps `integrate` takes, with its own x, h and step
+    budget (Hairer, Norsett and Wanner, *Solving ODEs I*, section II.4); it
+    leaves the batch when it ends.  ``lam`` is (n,), or (k, n) for k
+    parameters per lane, lane axis last.  ``sys.lanes`` maps x (n,),
+    y (dim, n) and the live lanes' lam to f (dim, n) and a mask of lanes
+    where the rhs is singular.
 
     ``event(lane, x, y)`` is tested as `integrate` tests its event: on the
     accepted state at each accepted step end, with no localization.  It
     gets the original indices of the live lanes (so it can read per-lane
     data such as a threshold) and their x (n,) and y (dim, n), and returns
     the lanes where it fired; such a lane ends there as if it had reached
-    its end, on the step where `integrate` fires.  Last-bit differences
-    between numpy and Python arithmetic move the step sizes a little, so
-    an event x inside the range matches the scalar one to about 1e-11
-    only.  Returns the terminal x (n,) and y (dim, n), and per lane None
-    when it reached x1 or its event, else the error that ended it:
-    NonFiniteRhs at the launch, SingularSurface where the rhs was
-    singular, or StepFailure for a stall (whose terminal state is the last
-    accepted one).
+    its end, on the step where `integrate` fires.  A lane rhs that differs
+    from the scalar one in the last bit (numpy and Python complex products
+    can) moves the step sizes a little, so an event x inside the range may
+    then match the scalar one only to about 1e-8.  Returns the terminal x
+    (n,) and y (dim, n), and per lane None when it reached x1 or its
+    event, else the error that ended it: NonFiniteRhs at the launch,
+    SingularSurface where the rhs was singular, or StepFailure for a stall
+    (whose terminal state is the last accepted one).
     """
     if x0 == x1:
         raise ValueError("x0 and x1 must differ")
@@ -350,14 +420,14 @@ def integrate_lanes(
         f, at_launch = rhs(x, y, lam)
         failure[~np.isfinite(f).all(axis=0)] = NonFiniteRhs
         # _initial_step, per lane; d2 is 0 where scalar arithmetic raises
-        scale = tol.abs + tol.rel * np.abs(y)
-        d0, d1 = _lane_rms(np.abs(y) / scale), _lane_rms(np.abs(f) / scale)
+        scale = tol.abs + tol.rel * _lane_abs(y)
+        d0, d1 = _lane_rms(_lane_abs(y) / scale), _lane_rms(_lane_abs(f) / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6 * span, 0.01 * d0 / d1)
         h0 = np.minimum(h0, span)
         f1, at_probe = rhs(x0 + direction * h0, y + direction * h0 * f, lam)
-        d2 = _lane_rms(np.abs(f1 - f) / scale) / h0
+        d2 = _lane_rms(_lane_abs(f1 - f) / scale) / h0
         d_max = np.maximum(d1, np.where(np.isfinite(d2), d2, 0.0))
-        h1 = np.where(d_max > 1e-15, (0.01 / d_max) ** 0.2, np.maximum(1e-6 * span, h0 * 1e3))
+        h1 = np.where(d_max > 1e-15, _lane_root8(0.01 / d_max), np.maximum(1e-6 * span, h0 * 1e3))
         h = np.minimum(100.0 * h0, h1)
         failure[at_launch | (at_probe & ~failure.astype(bool))] = SingularSurface
         lane = np.arange(n)  # the original index of each live lane
@@ -368,7 +438,8 @@ def integrate_lanes(
             hit |= at
             return (k,)
 
-        steps, fac_old, ended = np.zeros(n, dtype=int), np.full(n, 1e-4), failure.astype(bool)
+        steps, ended = np.zeros(n, dtype=int), failure.astype(bool)
+        attempt = _attempt(1)
         while True:
             stalled = ~ended & ((steps >= tol.max_steps) | ~(h >= tol.min_step))
             failure[lane[stalled]] = StepFailure
@@ -376,8 +447,8 @@ def integrate_lanes(
             if ended.any():
                 out = lane[ended]
                 x_end[out], y_end[:, out] = x[ended], y[:, ended]
-                lane, x, y, f, h, lam, steps, fac_old = (
-                    a[..., ~ended] for a in (lane, x, y, f, h, lam, steps, fac_old))
+                lane, x, y, f, h, lam, steps = (
+                    a[..., ~ended] for a in (lane, x, y, f, h, lam, steps))
             if not lane.size:
                 break
             steps += 1
@@ -387,19 +458,19 @@ def integrate_lanes(
             hd = direction * h
             hit = np.zeros(lane.size, dtype=bool)
             x_new = np.where(last, x1, x + hd)
-            (y_new,), (k7,), (err,) = _dp_attempt(stage, x, (y,), (f,), hd, x_new, lam)
-            bad = ~(np.isfinite(y_new).all(axis=0) & np.isfinite(err).all(axis=0))
-            scale = tol.abs + tol.rel * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = _lane_rms(np.abs(err) / scale)
-            accept = ~hit & ~bad & (err_norm <= 1.0)
-            grow = np.clip(np.maximum(err_norm, 1e-10) ** _EXPO / fac_old**_BETA / _SAFETY,
-                           1.0 / _MAX_FACTOR, 1.0 / _MIN_FACTOR)
-            shrink = np.minimum(1.0 / _MIN_FACTOR, err_norm**_EXPO / _SAFETY)
-            h = np.where(bad, h * 0.1, h / np.where(accept, grow, shrink))
-            fac_old = np.where(accept, np.maximum(err_norm, 1e-4), fac_old)
+            (y_new,), (k13,), (e5,), (e3,) = attempt(stage, x, (y,), (f,), hd, x_new, lam)
+            bad = ~np.isfinite(np.concatenate([y_new, e5, e3])).all(axis=0)
+            scale = tol.abs + tol.rel * np.maximum(_lane_abs(y), _lane_abs(y_new))
+            p, q = _lane_abs(e5) / scale, _lane_abs(e3) / scale
+            s5, s3 = (p * p).sum(axis=0), (q * q).sum(axis=0)
+            deno = s5 + 0.01 * s3
+            err = h * s5 / np.sqrt(dim * np.where(deno > 0.0, deno, 1.0))
+            accept = ~hit & ~bad & (err <= 1.0)
+            factor = np.clip(_lane_root8(err) / _SAFETY, 1.0 / _MAX_FACTOR, 1.0 / _MIN_FACTOR)
+            h = np.where(bad, h * 0.1, h / factor)
             x = np.where(accept, x_new, x)
             y = np.where(accept, y_new, y)
-            f = np.where(accept, k7, f)
+            f = np.where(accept, k13, f)
             failure[lane[hit]] = SingularSurface
             ended = hit | (accept & last)
             if event is not None:

@@ -249,13 +249,6 @@ def _omega_system(eq: MhdEquilibrium, m: int, k: float, dimension: int, body) ->
     return OdeSystem(dimension, lambda r, y, omega: leg.rhs(r, y, params(omega)))
 
 
-def _ratios(eq: MhdEquilibrium, m: int, k: float, omega: complex,
-            r: float) -> tuple[complex, complex, complex]:
-    """(rf11, rf12, rf21) at radius r; raises SingularSurface on resonance."""
-    leg, params = _leg_system(eq, m, k, r, r, 0, lambda r, y, *ratios: ratios)
-    return leg.rhs(r, (), params(omega))
-
-
 def y_riccati_system(eq: MhdEquilibrium, m: int, k: float) -> OdeSystem:
     return _omega_system(eq, m, k, 1, lambda r, y, rf11, rf12, rf21: (
         (rf21 * y[0] * y[0] - 2.0 * rf11 * y[0] - rf12) / r,))

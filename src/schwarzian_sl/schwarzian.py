@@ -183,6 +183,8 @@ def solve_constant_from_bc(
     if cmath.isinf(f_bc):
         return -phi
     t = (f_bc - f1) / f2
+    if t == 0:  # F_BC = F1: cot((Phi + C)/2) = 0
+        return math.pi - phi
     if abs(t - 1j) < _SINGULAR_TOL or abs(t + 1j) < _SINGULAR_TOL:
         raise DegenerateBoundary("F_BC = F1 +- i F2 is a degenerate direction")
     return 2.0 * cmath.atan(1.0 / t) - phi

@@ -5,14 +5,14 @@ import pytest
 
 import schwarzian_sl as s
 from schwarzian_sl.integrate import raise_if_stalled
-from schwarzian_sl.mhd import _ratios
+from schwarzian_sl.mhd import _leg_system
 
 # Reference eigenvalues of the finite-interval test problem: the converged
 # spectrum of a scaled-Pruefer shooting run with scipy DOP853 at
 # rtol = atol = 1e-13 (perfbench/paine_reference.json), rounded to 1e-7.
 # Tridiagonal FD with double Richardson extrapolation and phase-function
 # shooting agree with it to 1.8e-7 relative or better, and the acceptance
-# scan of this solver (rel 1e-9) to 1.3e-8.
+# scan of this solver (rel 1e-9) to 1.4e-8.
 PAINE_ORACLE = (
     1.5198658,
     4.9433098,
@@ -175,6 +175,13 @@ def segment_ratios(seg, gamma, m, k, omega, r):
     return rf11, rf12, rf21, singular
 
 
+def point_ratios(eq, m, k, omega, r):
+    """(rf11, rf12, rf21) of the package's per-leg form at one radius r;
+    raises SingularSurface on resonance."""
+    leg, params = _leg_system(eq, m, k, r, r, 0, lambda r, y, *ratios: ratios)
+    return leg.rhs(r, (), params(omega))
+
+
 def integrate_checkpoints(sys, x0, y0, checkpoints, lam=0j, tol=s.Tolerances()):
     """Chain integration legs so the state is sampled exactly at the
     requested abscissae (which must be strictly monotone away from x0).
@@ -218,8 +225,8 @@ class AxisLimits:
 
 def axis_limits(eq, m, k, omega):
     r1, r2 = 1e-4, 5e-5
-    a1 = _ratios(eq, m, k, omega, r1)
-    a2 = _ratios(eq, m, k, omega, r2)
+    a1 = point_ratios(eq, m, k, omega, r1)
+    a2 = point_ratios(eq, m, k, omega, r2)
 
     def richardson(i: int, scale1: float = 1.0, scale2: float = 1.0) -> complex:
         v1 = a1[i] * scale1

@@ -200,51 +200,68 @@ def test_nan_initial_step_stops_at_once():
 
 def test_rhs_calls_per_leg(monkeypatch):
     # a leg calls the rhs once at the launch, once for the initial-step
-    # probe and six times per attempted step, accepted or rejected;
-    # perfbench/tracer.py derives its step count from this
+    # probe and twelve times per attempted step, accepted or rejected;
+    # perfbench/tracer.py still divides by six, so it counts each attempt
+    # as two steps
     engine = importlib.import_module("schwarzian_sl.integrate")
-    attempt, attempts, calls = engine._dp_attempt, 0, 0
+    generate, attempts, calls = engine._attempt, 0, 0
 
-    def counted_attempt(*args):
-        nonlocal attempts
-        attempts += 1
-        return attempt(*args)
+    def counted(dim):
+        attempt = generate(dim)
+
+        def counted_attempt(*args):
+            nonlocal attempts
+            attempts += 1
+            return attempt(*args)
+
+        return counted_attempt
 
     def rhs(x, y, lam):  # a sharp bump in frequency at x = 1.5 forces rejections
         nonlocal calls
         calls += 1
         return (1j * y[0] * (1.0 + 50.0 * math.exp(-200.0 * (x - 1.5) ** 2)),)
 
-    monkeypatch.setattr(engine, "_dp_attempt", counted_attempt)
+    monkeypatch.setattr(engine, "_attempt", counted)
     tr = s.integrate(s.OdeSystem(1, rhs), 0.0, 3.0, (1 + 0j,))
     assert tr.stop_reason is StopReason.REACHED_END
     assert attempts > len(tr.xs) - 1  # accepted and rejected steps
-    assert calls == 2 + 6 * attempts
+    assert calls == 2 + 12 * attempts
 
 
 def test_tableau_consistency():
-    # read the Dormand-Prince tableau off the one step attempt: stage s
-    # returns the unit vector e_s, so with y = 0 and h = 1 each stage's
-    # state is its row of A, its abscissa is c_s, y_new is b and err is e
+    # the DOP853 rows: c_i = sum_j a_ij with A strictly lower triangular,
+    # order 8 in b, and error rows that vanish on polynomials of degree < 5
+    # (E5) and < 3 (E3), the last entry weighting f(x + h, y_new) at c = 1
     engine = importlib.import_module("schwarzian_sl.integrate")
-    unit = [tuple(float(i == j) for i in range(7)) for j in range(7)]
+    A, c, b, e5, e3 = engine._A, engine._C, engine._B, engine._E5, engine._E3
+    assert len(A) == len(c) == len(b) == 12 and len(e5) == len(e3) == 13
+    for i, row in enumerate(A):
+        assert len(row) == i and abs(c[i] - sum(row)) < 1e-14
+    for q in range(1, 9):
+        assert abs(sum(bj * cj ** (q - 1) for bj, cj in zip(b, c)) - 1 / q) < 1e-14
+    for q in range(1, 6):
+        assert abs(sum(ej * cj ** (q - 1) for ej, cj in zip(e5, c + (1.0,)))) < 1e-14
+    for q in range(1, 4):
+        assert abs(sum(ej * cj ** (q - 1) for ej, cj in zip(e3, c + (1.0,)))) < 1e-14
+
+    # the generated attempt reproduces the rows: stage s returns the unit
+    # vector e_s, so with y = 0 and h = 1 each stage's state is its row of
+    # A, its abscissa is c_s, y_new is b, and e5 and e3 are the error rows
+    unit = [tuple(float(i == j) for i in range(13)) for j in range(13)]
     stages = []
 
     def rhs(x, y, lam):
         stages.append((x, y))
         return unit[len(stages)]
 
-    y_new, k7, err = engine._dp_attempt(rhs, 0.0, (0.0,) * 7, unit[0], 1.0, 1.0, 0j)
-    assert len(stages) == 6 and k7 == unit[6]
-    c = [0.0] + [x for x, _ in stages]
-    for i, (x, row) in enumerate(stages, start=1):  # c_i = sum_j a_ij, A strictly lower
-        assert abs(x - sum(row)) < 1e-15 and not any(row[i:])
-    assert stages[-1] == (1.0, y_new)  # FSAL: the last stage is b at x + h
-    b, e = y_new, err
-    for q in range(1, 6):  # order 5 in b, order 4 in the embedded b - e
-        assert abs(sum(bj * cj ** (q - 1) for bj, cj in zip(b, c)) - 1 / q) < 1e-15
-        if q < 5:
-            assert abs(sum(ej * cj ** (q - 1) for ej, cj in zip(e, c))) < 1e-15
+    y_new, k13, err5, err3 = engine._attempt(13)(rhs, 0.0, (0.0,) * 13, unit[0], 1.0, 1.0, 0j)
+    assert len(stages) == 12 and k13 == unit[12]
+    assert [x for x, _ in stages] == list(c[1:]) + [1.0]
+    for i, (_, state) in enumerate(stages[:-1], start=1):
+        assert state == A[i] + (0.0,) * (13 - i)
+    assert stages[-1][1] == y_new == b + (0.0,)
+    assert err5 == e5 and err3 == e3
+    assert "def attempt" in engine._attempt(13).source
 
 
 def _lane_system(counts=None):

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +156,17 @@ def test_cli_solve_scan_below_the_ground_state(capsys, method):
         found = [line.split()[:2] for line in lines[1:]]
         assert [n for n, _ in found] == [f"n={n}:" for n in range(len(levels))]
         assert [round(float(v), 6) for _, v in found] == [float(v) for v in levels]
+
+
+def test_cli_solve_prints_a_negative_imaginary_part_once(monkeypatch, capsys):
+    # a complex eigenvalue with Im < 0 prints as "a - bi", not "a + -bi"
+    monkeypatch.setattr("schwarzian_sl.cli.refine_complex_root",
+                        lambda qf, w0, *args, **kwargs: w0 - 3.53e-09j)
+    assert main(["solve", "--problem", "morse", "--range=-5,6", "--samples", "24",
+                 "--method", "schwarzian-g"]) == 0
+    out = capsys.readouterr().out
+    assert "+ -" not in out
+    assert "n=0: 4.75" in out and " - 3.53e-09i" in out
 
 
 def test_cli_unknown_problem_is_config_error():
@@ -424,3 +437,25 @@ def test_readme_commands_pass_the_front_end(monkeypatch):
         if args.command != "list":
             with pytest.raises(_Resolved):
                 args.func(args)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: a Paine solve and a small jet web
+    # in a fresh interpreter must not import it
+    src = Path(s.__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "from schwarzian_sl.cli import main\n"
+        "assert main(['solve', '--problem', 'paine', '--method', 'minimalist',"
+        " '--range', '0,20', '--samples', '20', '--out', sys.argv[1]]) == 0\n"
+        "assert main(['web', '--problem', 'cohn', '--region', '2,4,1,3', '--grid', '8x8',"
+        " '--threads', '1', '--no-refine', '--out', sys.argv[2]]) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "paine.csv"), str(tmp_path / "web.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr

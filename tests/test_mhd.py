@@ -7,7 +7,6 @@ import pytest
 
 import schwarzian_sl as s
 from schwarzian_sl import mhd
-from schwarzian_sl.mhd import _ratios
 from schwarzian_sl.schwarzian import Approach
 
 from conftest import (
@@ -18,6 +17,7 @@ from conftest import (
     axis_limits,
     equilibrium_residual,
     integrate_checkpoints,
+    point_ratios,
     rho0,
     segment_at,
     segment_ratios,
@@ -73,7 +73,7 @@ def test_interior_ratios_unmagnetized(eq):
     # kt^2 = w0^2 - k^2 - m^2/r^2
     m, r = 1, 0.5
     w0 = OMEGA - K * 1.0
-    rf11, rf12, rf21 = _ratios(eq, m, K, OMEGA, r)
+    rf11, rf12, rf21 = point_ratios(eq, m, K, OMEGA, r)
     kt_sq = w0 * w0 - K * K - m * m / (r * r)
     assert rf11 == 0j
     assert_close(rf12, kt_sq * r * r / (w0 * w0), 1e-12, "rf12")
@@ -84,7 +84,7 @@ def test_exterior_ratios_cold_limit(eq, cohn_model):
     # cold magnetized exterior: kt^2 = rho w^2 / B^2 - k^2 - m^2/r^2
     m, r = 0, 2.0
     bphi = cohn_model.field_constant / r
-    rf11, rf12, rf21 = _ratios(eq, m, K, OMEGA, r)
+    rf11, rf12, rf21 = point_ratios(eq, m, K, OMEGA, r)
     kt_sq = 0.01 * OMEGA * OMEGA / (bphi * bphi) - K * K
     delta = 0.01 * OMEGA * OMEGA
     assert_close(rf12, kt_sq * r * r / delta, 1e-12, "rf12 cold")
@@ -108,7 +108,7 @@ def test_f22_is_minus_f11(eq):
         r = float(rng.uniform(0.05, 6.0))
         m = int(rng.integers(-2, 3))
         w = complex(rng.uniform(0.5, 6), rng.uniform(0.1, 4))
-        rf11, _, _ = _ratios(eq, m, K, w, r)
+        rf11, _, _ = point_ratios(eq, m, K, w, r)
         d = s.y1_system(eq, m, K, Approach.G).rhs(r, state, w)
         assert_close(d[1], -rf11 / r, 1e-14 * max(1.0, abs(rf11 / r)))
 
@@ -116,21 +116,21 @@ def test_f22_is_minus_f11(eq):
 def test_singular_surface_raises(eq):
     # interior flow resonance: omega = k V0 makes rho w_co^2 vanish
     with pytest.raises(s.SingularSurface):
-        _ratios(eq, 0, K, complex(K), 0.5)
+        point_ratios(eq, 0, K, complex(K), 0.5)
 
 
 # ----------------------------------------------------------- Y Riccati
 
 
 def test_y_riccati_rhs_at_zero(eq):
-    _, rf12, _ = _ratios(eq, 0, K, OMEGA, 0.5)
+    _, rf12, _ = point_ratios(eq, 0, K, OMEGA, 0.5)
     (value,) = s.y_riccati_system(eq, 0, K).rhs(0.5, (0j,), OMEGA)
     assert_close(value, -rf12 / 0.5, 1e-14)
 
 
 def test_y_riccati_fixed_point(eq):
     # interior has F11 = F22, so dY/dr = 0 at Y^2 = (F12/D)/(F21/D)
-    _, rf12, rf21 = _ratios(eq, 0, K, OMEGA, 0.5)
+    _, rf12, rf21 = point_ratios(eq, 0, K, OMEGA, 0.5)
     y_fp = cmath.sqrt(rf12 / rf21)
     (value,) = s.y_riccati_system(eq, 0, K).rhs(0.5, (y_fp,), OMEGA)
     assert abs(value) < 1e-12
@@ -174,7 +174,7 @@ def test_y_riccati_against_bessel_series(eq):
 
 
 def test_y1_phi_decay_manifold(eq):
-    ratios = _ratios(eq, 0, K, OMEGA, 0.7)
+    ratios = point_ratios(eq, 0, K, OMEGA, 0.7)
     d = s.y1_phi_system_rhs(0.7, (0.3 + 0.1j, 0j, 1 + 0j), *ratios)
     assert d[1] == 0j
 
@@ -277,6 +277,20 @@ def test_jet_quantization_phi_and_g_roots_coincide(cohn_model):
     root_g = s.refine_complex_root(qf_g, 3.0 + 2.0j, tol=1e-10)
     root_p = s.refine_complex_root(qf_p, 3.0 + 2.0j, tol=1e-10)
     assert abs(root_g - root_p) < 1e-6
+
+
+@pytest.mark.parametrize("k, seed", [(0.5, 0.476 + 0.560j), (K, 3.08 + 1.97j),
+                                     (8.0, 7.90 + 3.22j)])
+def test_jet_root_integration_error(cohn_model, k, seed):
+    # the jet root at the web (rel 1e-6) and dispersion (rel 1e-8) tolerances
+    # against a converged (rel 1e-12) solve of the same model and cuts
+    def root(rel):
+        qf = s.JetQuantizationFunction(cohn_model, 0, k, rel_tol=rel, abs_tol=rel / 100)
+        return s.refine_complex_root(qf, seed, tol=1e-12)
+
+    converged = root(1e-12)
+    for rel, bound in ((1e-8, 2e-10), (1e-6, 2e-8)):
+        assert abs(root(rel) - converged) <= bound * abs(converged)
 
 
 def test_phi_and_g_webs_same_root_charge(cohn_model):
@@ -451,9 +465,9 @@ def test_lane_ratios_match_scalar_across_segments(eq):
         *ratios, singular = leg_ratios(r, *params(omega))
     assert singular.tolist() == [False, True] + [False] * 30
     with pytest.raises(s.SingularSurface):
-        _ratios(eq, 1, K, complex(omega[1]), 0.5)
+        point_ratios(eq, 1, K, complex(omega[1]), 0.5)
     for j in [0] + list(range(2, r.size)):
-        want = _ratios(eq, 1, K, complex(omega[j]), float(r[j]))
+        want = point_ratios(eq, 1, K, complex(omega[j]), float(r[j]))
         for got, value in zip(ratios, want):
             assert abs(got[j] - value) <= 1e-13 * abs(value)
 
@@ -480,7 +494,7 @@ def _direct(eq, m, k, omega, r):
 
 def _factored(eq, m, k, omega, r):
     try:
-        return _ratios(eq, m, k, omega, r)
+        return point_ratios(eq, m, k, omega, r)
     except s.SingularSurface:
         return None
 

@@ -119,6 +119,14 @@ def test_solve_constant_phi_unit_cot():
     assert_close(c, math.pi / 2 - 0.3, 1e-12, "cot((Phi+C)/2) = 1")
 
 
+def test_solve_constant_phi_at_the_shift():
+    # F_BC = F1 gives cot((Phi + C)/2) = 0, so C = pi - Phi exactly
+    state = (1 + 0j, 2 + 0j, 0.5j)
+    c = s.solve_constant_from_bc(state, 1 + 0j, Approach.PHI)
+    assert c == math.pi - 0.5j
+    assert abs(s.reconstruct_F(state, c, Approach.PHI) - state[0]) < 1e-15
+
+
 def test_solve_constant_degenerate():
     state = (1 + 1j, 0j, 0j)
     with pytest.raises(s.DegenerateBoundary):
