@@ -60,7 +60,10 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_params(text: str | None) -> dict[str, Any]:
+def _parse_params(text: str | None, defaults: dict[str, Any]) -> dict[str, Any]:
+    """The --param overrides of a catalog entry with these defaults: known
+    names only, each a number (every catalog parameter is one), and a real
+    one where the default is real."""
     if not text:
         return {}
     out: dict[str, Any] = {}
@@ -71,17 +74,18 @@ def _parse_params(text: str | None) -> dict[str, Any]:
             raise ConfigError(f"--param entries must be key=value, got {item!r}")
         key, raw = item.split("=", 1)
         key = _PARAM_ALIASES.get(key.strip(), key.strip())
-        try:
-            value: Any = int(raw)
-        except ValueError:
+        if key not in defaults:
+            known = ", ".join(defaults) or "none"
+            raise ConfigError(f"unknown parameter {key!r}; known: {known}")
+        real = not isinstance(defaults[key], complex)
+        for kind in (int, float) if real else (int, float, complex):
             try:
-                value = float(raw)
+                out[key] = kind(raw)
+                break
             except ValueError:
-                try:
-                    value = complex(raw)
-                except ValueError:
-                    value = raw
-        out[key] = value
+                pass
+        else:
+            raise ConfigError(f"parameter {key} needs a {'real ' if real else ''}number, got {raw!r}")
     return out
 
 
@@ -120,7 +124,7 @@ def _resolve(args: argparse.Namespace, kind: str | None) -> tuple[Any, str]:
     method = args.method or entry.default_method
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
-    problem = entry.build(**_parse_params(args.param))
+    problem = entry.build(**_parse_params(args.param, entry.default_params))
     schwarzian_only = entry.kind == "stability" or args.command == "eigenfunction"
     if method == "minimalist" and schwarzian_only:
         raise ConfigError(f"{args.command} of {args.problem} needs a schwarzian method")
@@ -289,9 +293,7 @@ def cmd_eigenfunction(args: argparse.Namespace) -> int:
     approach = _approach(method)
     if isinstance(built, StabilityConfig):
         inward, outward = jet_trajectories(
-            built.model.equilibrium(), built.m, built.k, eigenvalue, approach,
-            start=built.model.radius, tol=tol,
-        )
+            built.model.equilibrium(), built.m, built.k, eigenvalue, approach, tol=tol)
         constant = -inward.y_end[2]
         samples = eigenfunctions_y((inward, outward), constant, approach)
         meta = _meta(args, eigenvalue=eigenvalue)
@@ -326,6 +328,8 @@ def cmd_eigenfunction(args: argparse.Namespace) -> int:
 def cmd_dispersion(args: argparse.Namespace) -> int:
     base, method = _resolve(args, "stability")
     lo, hi, n = _parse_floats(args.kgrid, 3, "--kgrid")
+    if not (n >= 1 and n.is_integer()):
+        raise ConfigError(f"--kgrid needs an integer count n >= 1, got {n:g}")
     k_grid = np.linspace(lo, hi, int(n))
     region = _parse_floats(args.region, 4, "--region")
     qf = _stability_qf(base, method, args)
@@ -414,7 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: list[str]) -> None:
+    """Fill the flags ``argv`` leaves out from the --config file; a string
+    value is converted by its flag's own type."""
     if not args.config:
         return
     with open(args.config) as fh:
@@ -422,11 +429,19 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
     if not isinstance(defaults, dict):
         raise ConfigError("config file must hold a JSON object")
     provided = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    types = {a.dest: a.type for a in commands.choices[args.command]._actions}
     for key, value in defaults.items():
         flag = "--" + key.replace("_", "-")
         attr = key.replace("-", "_")
         if flag in provided or not hasattr(args, attr):
             continue
+        if isinstance(value, str) and types.get(attr):
+            try:
+                value = types[attr](value)
+            except ValueError:
+                raise ConfigError(f"config value {key}={value!r} is not a valid "
+                                  f"{types[attr].__name__}") from None
         setattr(args, attr, value)
 
 
@@ -436,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         return args.func(args)
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

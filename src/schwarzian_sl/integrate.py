@@ -478,6 +478,21 @@ def integrate_lanes(
     return x_end, y_end, failure
 
 
+def lane_failures(values: np.ndarray, *failures: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+    """``values`` with NaN where a lane failed, and per lane None or the name
+    of the error its scalar call raises.  ``failures`` are per-lane rows of
+    None or an error class, in the order that call meets them: it raises
+    the first that is not a StepFailure at once, and StepFailure for a stall
+    only after its last leg (`raise_if_stalled`)."""
+    names: list[str | None] = []
+    for row in zip(*failures):
+        raised = [f for f in row if f is not None]
+        error = next((f for f in raised if f is not StepFailure), raised[0] if raised else None)
+        names.append(None if error is None else error.__name__)
+    values[[name is not None for name in names]] = np.nan
+    return values, names
+
+
 def raise_if_stalled(*legs: Trajectory) -> None:
     """Raise StepFailure if any leg stopped on ``StopReason.STEP_FAILURE``.
 

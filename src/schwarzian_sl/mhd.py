@@ -33,7 +33,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -43,11 +42,11 @@ import numpy as np
 from .integrate import (
     OdeSystem,
     SingularSurface,
-    StepFailure,
     Tolerances,
     Trajectory,
     integrate,
     integrate_lanes,
+    lane_failures,
     merge_legs,
     raise_if_stalled,
 )
@@ -178,42 +177,33 @@ def _segment_form(seg: ProfileSegment, gamma: float, m: int, k: float):
 
 def _leg_ratios(eq: MhdEquilibrium, m: int, k: float, lo: float, hi: float):
     """(params, ratios) of `_segment_form` over the radii between lo and
-    hi: ``params(omega)`` gives the factors of the segment the span lies
-    in, else of each segment it meets in turn (and ``ratios`` picks that of
-    each radius), as Python scalars for one omega or (k, n) rows for lane
-    omegas; a vanishing denominator makes them inf or NaN with a true
-    singular flag, not an error."""
+    hi.  ``params(omega)`` gives the factors as Python scalars for one
+    omega, or as (k, n) rows for lane omegas; a vanishing denominator makes
+    them inf or NaN with a true singular flag, not an error.  A span that
+    meets several segments takes, for one omega, a factor tuple per
+    segment, and ``ratios`` picks that of each radius; lane omegas raise
+    ValueError there, since a lane leg lies in one segment."""
     lo, hi = min(lo, hi), max(lo, hi)
     first, last = bisect.bisect_right(eq.interfaces, lo), bisect.bisect_right(eq.interfaces, hi)
     forms = [_segment_form(seg, eq.gamma, m, k) for seg in eq.segments[first:last + 1]]
-    factors, ratios = forms[0]
-    if len(forms) > 1:
-        edges = eq.interfaces[first:last]
-        # each segment's ratios take r, then its own factors
-        starts = [0, *itertools.accumulate(f.__code__.co_argcount - 1 for _, f in forms)]
-        parts = [(f, slice(a, b)) for (_, f), a, b in zip(forms, starts, starts[1:])]
-
-        def factors(omega):
-            return tuple(x for f, _ in forms for x in f(omega))
-
-        def ratios(r, *values):
-            if not isinstance(r, np.ndarray):
-                f, part = parts[bisect.bisect_right(edges, r)]
-                return f(r, *values[part])
-            which = np.searchsorted(edges, r, side="right")
-            out = np.empty((4, r.size), dtype=complex)  # rf11, rf12, rf21, singular
-            for i in np.unique(which):
-                sel, (f, part) = which == i, parts[i]
-                for row, value in zip(out, f(r[sel], *(v[sel] for v in values[part]))):
-                    row[sel] = value
-            return out[0], out[1], out[2], out[3].real != 0.0
+    edges = eq.interfaces[first:last]
 
     def params(omega):
+        if np.ndim(omega) and edges:
+            raise ValueError(f"a lane leg lies in one segment; ({lo}, {hi}) crosses r={edges[0]}")
         with np.errstate(all="ignore"):
-            values = factors(np.asarray(omega, dtype=complex))
+            parts = [factors(np.asarray(omega, dtype=complex)) for factors, _ in forms]
         if np.ndim(omega):
-            return np.array(values, dtype=complex)
-        return tuple(np.asarray(v).item() for v in values)
+            return np.array(parts[0], dtype=complex)
+        parts = [tuple(np.asarray(v).item() for v in part) for part in parts]
+        return tuple(parts) if edges else parts[0]
+
+    if not edges:
+        return params, forms[0][1]
+
+    def ratios(r, *parts):
+        i = bisect.bisect_right(edges, r)
+        return forms[i][1](r, *parts[i])
 
     return params, ratios
 
@@ -304,7 +294,6 @@ class CohnJetModel:
     M: float = 1.0
     eta: float = 0.01
     gamma: float = 5.0 / 3.0
-    radius: float = 1.0
 
     @property
     def jet_pressure(self) -> float:
@@ -312,12 +301,12 @@ class CohnJetModel:
 
     @property
     def field_constant(self) -> float:
-        # I^2 = 2 P_j radius^2 from pressure balance at the interface
-        return math.sqrt(2.0 * self.jet_pressure) * self.radius
+        # I^2 = 2 P_j from pressure balance at the interface r = 1
+        return math.sqrt(2.0 * self.jet_pressure)
 
-    def equilibrium(self, outer: float = math.inf) -> MhdEquilibrium:
-        jet = ProfileSegment(0.0, self.radius, rho0=1.0, P0=self.jet_pressure, V0=self.M)
-        envelope = ProfileSegment(self.radius, outer, rho0=self.eta, P0=0.0, V0=0.0,
+    def equilibrium(self) -> MhdEquilibrium:
+        jet = ProfileSegment(0.0, 1.0, rho0=1.0, P0=self.jet_pressure, V0=self.M)
+        envelope = ProfileSegment(1.0, math.inf, rho0=self.eta, P0=0.0, V0=0.0,
                                   b_phi_over_r=self.field_constant)
         return MhdEquilibrium(segments=(jet, envelope), gamma=self.gamma)
 
@@ -365,7 +354,8 @@ def jet_trajectories(
 
 @dataclass(frozen=True)
 class JetQuantizationFunction:
-    """Picklable omega -> quantization value map for webs and refinement."""
+    """Picklable omega -> quantization value map for webs and refinement;
+    its cuts must lie on either side of the jet radius 1."""
 
     model: CohnJetModel
     m: int
@@ -376,6 +366,10 @@ class JetQuantizationFunction:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.cuts[0] < 1.0 < self.cuts[1]:
+            raise ValueError(f"cuts {self.cuts} must bracket the jet radius: 0 < inner < 1 < outer")
+
     def __call__(self, omega: complex) -> complex:
         """Quantization value between infinity and the axis.
 
@@ -385,8 +379,7 @@ class JetQuantizationFunction:
         """
         inward, outward = jet_trajectories(
             self.model.equilibrium(), self.m, self.k, omega, self.approach, self.launch,
-            self.cuts, start=self.model.radius,
-            tol=Tolerances(rel=self.rel_tol, abs=self.abs_tol), store_path=False)
+            self.cuts, tol=Tolerances(rel=self.rel_tol, abs=self.abs_tol), store_path=False)
         value = outward.y_end[2] - inward.y_end[2]
         if self.approach is Approach.PHI:
             return cmath.sin(value / 2.0)
@@ -397,21 +390,15 @@ class JetQuantizationFunction:
         the values (NaN where an evaluation failed) and per omega None or the
         name of the error `__call__` raises there."""
         eq = self.model.equilibrium()
-        launch, legs = _legs(eq, self.m, self.k, self.approach, self.launch, self.cuts,
-                             self.model.radius)
+        launch, legs = _legs(eq, self.m, self.k, self.approach, self.launch, self.cuts, 1.0)
         tol = Tolerances(rel=self.rel_tol, abs=self.abs_tol)
         (_, inner, fail_in), (_, outer, fail_out) = (
             integrate_lanes(sys, x0, x1, launch, params(omegas), tol)
             for x0, x1, sys, params in legs)
-        # __call__ raises an error of the inward leg, else one of the outward
-        # leg, else StepFailure for a stall of either
-        take_out = ~fail_in.astype(bool) | ((fail_in == StepFailure) & fail_out.astype(bool))
-        failure = np.where(take_out, fail_out, fail_in)
         value = outer[2] - inner[2]
         if self.approach is Approach.PHI:
             value = np.sin(value / 2.0)
-        value[failure.astype(bool)] = np.nan
-        return value, [None if f is None else f.__name__ for f in failure]
+        return lane_failures(value, fail_in, fail_out)
 
 
 @dataclass

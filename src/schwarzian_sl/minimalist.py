@@ -24,6 +24,7 @@ from .integrate import (
     Tolerances,
     integrate,
     integrate_lanes,
+    lane_failures,
     raise_if_stalled,
 )
 from .schwarzian import Approach, DegenerateBoundary, solve_constant_from_bc
@@ -211,14 +212,14 @@ class FiniteIntervalWinding:
             total = (c.q(xs, lam) / p).real.sum(axis=0)  # row by row, as the loop
             kappa = np.sqrt(np.maximum(total / _GAUGE_SAMPLES, 1.0)) + 0j
         phases = np.full((2, lam.size), np.nan, dtype=complex)
-        degenerate = np.zeros(lam.size, dtype=bool)
+        degenerate = np.full(lam.size, None, dtype=object)
         for j, k in enumerate(kappa.tolist()):
             sub = PhiSubstitution(0j, k)
             try:
                 phases[:, j] = [phi_from_ratio_bc(sub, f_bc) for f_bc in ratios]
             except DegenerateBoundary:
-                degenerate[j] = True  # its NaN start phase ends it at the launch
-        zero_p = (np.abs(p) < P_FLOOR).any(axis=0)
+                degenerate[j] = DegenerateBoundary  # its NaN start phase ends it at the launch
+        zero_p = np.where((np.abs(p) < P_FLOOR).any(axis=0), ZeroCoefficient, None)
         _, y, failure = integrate_lanes(
             phase_system(problem), d.lower, d.upper, phases[0],
             np.stack([lam, kappa]), self.tol)
@@ -226,8 +227,4 @@ class FiniteIntervalWinding:
         # degenerate ratio value, then a zero p on the way (ZeroCoefficient),
         # the only point where the phase rhs is singular
         failure[failure == SingularSurface] = ZeroCoefficient
-        failure[degenerate] = DegenerateBoundary
-        failure[zero_p] = ZeroCoefficient
-        values = (y[0] - phases[1]) / (2 * math.pi)
-        values[failure.astype(bool)] = np.nan
-        return values, [None if f is None else f.__name__ for f in failure]
+        return lane_failures((y[0] - phases[1]) / (2 * math.pi), zero_p, degenerate, failure)

@@ -88,6 +88,8 @@ def scan_real(
     touches it and turns back, does not cross it.
     """
     lo, hi = lam_range
+    if not lo < hi:
+        raise ValueError(f"scan range ({lo}, {hi}) needs lo < hi")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     width = (hi - lo) / n_samples
@@ -281,6 +283,7 @@ def spectral_web(
     """
     if nx < 8 or ny < 8:
         raise ValueError("web grid must be at least 8x8")
+    _check_region(region)
     re = np.linspace(region[0], region[1], nx)
     im = np.linspace(region[2], region[3], ny)
     ww = (re[:, None] + 1j * im[None, :]).ravel()
@@ -311,6 +314,11 @@ def spectral_web(
         charges=charges,
         failures=failures,
     )
+
+
+def _check_region(region: tuple[float, float, float, float]) -> None:
+    if not (region[0] < region[1] and region[2] < region[3]):
+        raise ValueError(f"web region {tuple(region)} needs re_min < re_max and im_min < im_max")
 
 
 def _wrap_array(d: np.ndarray) -> np.ndarray:
@@ -435,9 +443,11 @@ def dispersion_scan(
     the slope the last root converged with.  A corrected root farther from
     the prediction than the last continuation step has hopped to another
     branch; that, and a corrector failure, fall back to a fresh web
-    recentered on the last root.  Lost roots are recorded as gaps rather
-    than aborting the scan.
+    recentered on the last root, kept above Im omega = 1e-3.  Lost roots
+    are recorded as gaps rather than aborting the scan, and so is a k whose
+    recentered window would lie wholly below that floor.
     """
+    _check_region(region)
     points: list[DispersionPoint] = []
     branch: list[tuple[float, SecantRoot]] = []  # last roots found in a row
     span_re = region[1] - region[0]
@@ -462,15 +472,17 @@ def dispersion_scan(
         if root is None:
             if not branch:
                 window = tuple(region)
-            else:  # recentered on the last root, w1
+            else:  # recentered on the last root, w1: empty if w1 lies too low
                 window = (
                     w1.real - span_re / 2.0,
                     w1.real + span_re / 2.0,
                     max(w1.imag - span_im / 2.0, 1e-3),
                     w1.imag + span_im / 2.0,
                 )
-            web = spectral_web(qf, window, nx, ny, workers)
-            roots = [c for c in web.charges if c.winding > 0]
+            roots = []
+            if window[2] < window[3]:
+                web = spectral_web(qf, window, nx, ny, workers)
+                roots = [c for c in web.charges if c.winding > 0]
             if roots:
                 seed = max(roots, key=lambda c: c.location.imag).location
                 try:

@@ -38,11 +38,11 @@ from .core import (
 from .integrate import (
     OdeSystem,
     SingularSurface,
-    StepFailure,
     Tolerances,
     Trajectory,
     integrate,
     integrate_lanes,
+    lane_failures,
     raise_if_stalled,
 )
 
@@ -325,31 +325,21 @@ class AsymptoticWinding:
         problem, d = self.problem, self.problem.domain
         _check_asymptotic(problem)
         lam = np.asarray(lams, dtype=complex)
-        values = np.full(lam.size, np.nan, dtype=complex)
-        failure = np.full(lam.size, None, dtype=object)
-        launch = np.zeros((3, lam.size), dtype=complex)
+        launch = np.full((3, lam.size), np.nan, dtype=complex)
+        raised = np.full(lam.size, None, dtype=object)
         for j, w in enumerate(lam.tolist()):
             try:
                 launch[:, j] = default_initial_state(problem, d.start, w)
             except SchwarzianSLError as exc:
-                failure[j] = type(exc)
-        live = np.flatnonzero(~failure.astype(bool))
-        sys, launch = phi_system(problem), launch[:, live]
-        event = decay_event(Approach.PHI, launch, DEFAULT_DECAY)
-        _, y_low, low = integrate_lanes(
-            sys, d.start, d.lower_cut, launch, lam[live], self.tol, event)
-        _, y_high, high = integrate_lanes(
-            sys, d.start, d.upper_cut, launch, lam[live], self.tol, event)
-        # the scalar path raises the low leg's error, then the high leg's,
-        # then a stall of either; the rhs is singular only where p vanishes,
-        # which p_checked raises as ZeroCoefficient
-        for j, a, b in zip(live.tolist(), low, high):
-            raised = [f for f in (a, b) if f not in (None, StepFailure)]
-            failure[j] = raised[0] if raised else (a or b)
-        failure[failure == SingularSurface] = ZeroCoefficient
-        values[live] = (y_high[2] - y_low[2]) / (2.0 * math.pi)
-        values[failure.astype(bool)] = np.nan
-        return values, [None if f is None else f.__name__ for f in failure]
+                raised[j] = type(exc)  # its NaN launch ends its legs at once
+        sys, event = phi_system(problem), decay_event(Approach.PHI, launch, DEFAULT_DECAY)
+        (_, y_low, low), (_, y_high, high) = (
+            integrate_lanes(sys, d.start, cut, launch, lam, self.tol, event)
+            for cut in (d.lower_cut, d.upper_cut))
+        # the rhs is singular only where p vanishes: p_checked's ZeroCoefficient
+        for failure in (low, high):
+            failure[failure == SingularSurface] = ZeroCoefficient
+        return lane_failures((y_high[2] - y_low[2]) / (2.0 * math.pi), raised, low, high)
 
 
 def g_difference_value(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import schwarzian_sl as s
-from schwarzian_sl.integrate import StopReason
+from schwarzian_sl.integrate import StopReason, lane_failures, raise_if_stalled
 from schwarzian_sl.schwarzian import Approach
 
 from conftest import integrate_checkpoints
@@ -368,3 +368,60 @@ def test_lane_event_matches_scalar_event_per_lane():
                               lambda lane, x, y: y[0].real < floor[live][lane])
     assert np.array_equal(x_end[live], alone[0])
     assert np.array_equal(y_end[:, live], alone[1])
+
+
+class _LaunchError(s.SchwarzianSLError):
+    pass
+
+
+def _two_leg_system():
+    # y' = rate y with the rate of the side of x = 0, singular at and beyond
+    # the walls; lam = (launch fails, low wall, high wall, low rate, high rate)
+    def rhs(x, y, lam):
+        if not lam[1] < x < lam[2]:
+            raise s.SingularSurface(f"wall at x={x}")
+        return ((lam[3] if x < 0.0 else lam[4]) * y[0],)
+
+    def lanes(x, y, lam):
+        low, high, rate = lam[1].real, lam[2].real, np.where(x < 0.0, lam[3], lam[4])
+        return np.array([rate * y[0]]), ~((low < x) & (x < high))
+
+    return s.OdeSystem(1, rhs, lanes)
+
+
+def test_lane_failures_name_the_error_of_the_scalar_call():
+    # a scalar call checks its launch, runs the leg toward -1, then the leg
+    # toward +1, and last raises a stall of either; lane_failures reads the
+    # same error from the launch check and the two lane legs
+    inf, steep = math.inf, 300.0  # 20 steps cannot cross a steep side
+    cases = [  # (the error, lam)
+        (None, (0, -inf, inf, 1.0, 1.0)),
+        ("_LaunchError", (1, -inf, inf, 1.0, 1.0)),
+        ("SingularSurface", (0, -0.5, inf, 1.0, 1.0)),  # a low-leg error
+        ("SingularSurface", (0, -inf, 0.5, steep, 1.0)),  # a low-leg stall, a high-leg error
+        ("StepFailure", (0, -inf, inf, steep, steep)),  # both legs stalled
+        ("SingularSurface", (0, -inf, 0.5, 1.0, 1.0)),  # a high-leg error alone
+    ]
+    sys, tol = _two_leg_system(), s.Tolerances(max_steps=20)
+
+    def scalar_call(lam):
+        if lam[0]:
+            raise _LaunchError("launch")
+        low, high = (s.integrate(sys, 0.0, cut, (1 + 0j,), lam, tol) for cut in (-1.0, 1.0))
+        raise_if_stalled(low, high)
+        return high.y_end[0] - low.y_end[0]
+
+    value = scalar_call(cases[0][1])
+    for name, lam in cases[1:]:
+        with pytest.raises(s.SchwarzianSLError) as raised:
+            scalar_call(lam)
+        assert type(raised.value).__name__ == name
+    lam = np.array([lam for _, lam in cases], dtype=complex).T
+    launch = np.where(lam[0].real != 0, _LaunchError, None)
+    (_, y_low, low), (_, y_high, high) = (
+        s.integrate_lanes(sys, 0.0, cut, (1 + 0j,), lam, tol) for cut in (-1.0, 1.0))
+    assert low[3] is s.StepFailure and high[3] is s.SingularSurface
+    values, names = lane_failures(y_high[0] - y_low[0], launch, low, high)
+    assert names == [name for name, _ in cases]
+    assert np.isnan(values[1:]).all()
+    assert abs(values[0] - value) <= 1e-12 * abs(value)

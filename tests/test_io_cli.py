@@ -193,6 +193,59 @@ def test_cli_method_problem_compatibility(tmp_path, capsys):
     assert [line.split(":")[0] for line in captured.err.splitlines()] == ["error"] * 7
 
 
+def _refused(argv, capsys):
+    """True when the command exits 2 with one error line and prints nothing."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code == 2 and captured.out == "" and captured.err.startswith("error:")
+
+
+def test_cli_refuses_a_reversed_scan_range(capsys):
+    assert _refused(["solve", "--problem", "morse", "--range=25,0", "--samples", "60"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["web", "--region", "3.5,2.5,1.5,2.5", "--grid", "16x16", "--rel", "1e-6", "--abs", "1e-9"],
+    ["dispersion", "--kgrid", "3,3.2,2", "--region", "2,4,3,1", "--grid", "8x8"],
+])
+def test_cli_refuses_a_reversed_web_region(argv, capsys):
+    assert _refused(argv + ["--problem", "cohn"], capsys)
+
+
+@pytest.mark.parametrize("cuts", ["2,10", "1,10", "0,10"])
+def test_cli_refuses_jet_cuts_that_miss_the_jet_radius(cuts, capsys):
+    assert _refused(["web", "--problem", "cohn", "--region", "2.5,3.5,1.5,2.5",
+                     "--grid", "12x12", "--rel", "1e-6", "--abs", "1e-9",
+                     "--cuts", cuts], capsys)
+
+
+def test_cli_refuses_an_unknown_param(capsys):
+    assert _refused(["solve", "--problem", "morse", "--param", "foo=1"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "morse", "--param", "lambda_param=abc"],
+    ["web", "--problem", "cohn", "--region", "2,4,1,3", "--grid", "8x8", "--param", "k=abc"],
+])
+def test_cli_refuses_a_non_numeric_param(argv, capsys):
+    assert _refused(argv, capsys)
+
+
+def test_cli_config_string_takes_its_flag_type(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"samples": "30", "range": "0,3"}))
+    assert main(["--config", str(config), "solve", "--problem", "harmonic"]) == 0
+    assert "3 eigenvalue(s)" in capsys.readouterr().out
+    config.write_text(json.dumps({"samples": "thirty"}))
+    assert _refused(["--config", str(config), "solve", "--problem", "harmonic"], capsys)
+
+
+@pytest.mark.parametrize("kgrid", ["1,2,0", "1,2,2.5"])
+def test_cli_refuses_a_kgrid_count_that_is_not_a_positive_integer(kgrid, capsys):
+    assert _refused(["dispersion", "--problem", "cohn", "--kgrid", kgrid,
+                     "--region", "0.05,3,0.05,2"], capsys)
+
+
 def test_cli_solve_reports_failed_samples(monkeypatch, tmp_path, capsys):
     # the stall is injected where the lane grid and the scalar refinement
     # both see it

@@ -354,6 +354,12 @@ def test_jet_lanes_name_the_error_scalar_calls_raise(cohn_model, monkeypatch):
     assert singular == [0j, complex(K)]
 
 
+@pytest.mark.parametrize("cuts", [(2.0, 10.0), (1.0, 10.0), (0.0, 10.0), (0.01, 1.0)])
+def test_jet_cuts_must_bracket_the_jet_radius(cohn_model, cuts):
+    with pytest.raises(ValueError, match="cuts"):
+        s.JetQuantizationFunction(cohn_model, 0, K, cuts=cuts)
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_web_psi_is_independent_of_workers(cohn_model, workers):
     qf = s.JetQuantizationFunction(cohn_model, 0, K, rel_tol=1e-6, abs_tol=1e-9)
@@ -453,16 +459,29 @@ def test_eigenfunction_scaling_leaves_Y(eigen_run):
     assert np.allclose(ratio, samples.Y)
 
 
+def _segment_lanes(eq, m, k, r, omega):
+    """(rf11, rf12, rf21, singular) of `mhd._leg_ratios` for the lanes
+    (r, omega), the lanes of each segment through one leg inside it."""
+    out = np.empty((4, r.size), dtype=complex)
+    segment = np.searchsorted(eq.interfaces, r, side="right")
+    for i in np.unique(segment):
+        sel = segment == i
+        params, leg_ratios = mhd._leg_ratios(eq, m, k, r[sel].min(), r[sel].max())
+        for row, value in zip(out, leg_ratios(r[sel], *params(omega[sel]))):
+            row[sel] = value
+    return out[0], out[1], out[2], out[3].real != 0.0
+
+
 def test_lane_ratios_match_scalar_across_segments(eq):
-    # lanes on both sides of the interface, and one on the flow resonance
-    # omega = kM inside the jet, which only marks its own lane
+    # lanes on both sides of the interface, each side through a leg inside
+    # its segment, and one on the flow resonance omega = kM inside the jet,
+    # which only marks its own lane
     rng = np.random.default_rng(3)
     r = np.concatenate([[1.0, 0.5], rng.uniform(0.05, 6.0, 30)])
     omega = rng.uniform(1.0, 5.0, r.size) + 1j * rng.uniform(0.5, 3.0, r.size)
     omega[1] = K
-    params, leg_ratios = mhd._leg_ratios(eq, 1, K, 0.05, 6.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # the singular lane
-        *ratios, singular = leg_ratios(r, *params(omega))
+        *ratios, singular = _segment_lanes(eq, 1, K, r, omega)
     assert singular.tolist() == [False, True] + [False] * 30
     with pytest.raises(s.SingularSurface):
         point_ratios(eq, 1, K, complex(omega[1]), 0.5)
@@ -471,6 +490,18 @@ def test_lane_ratios_match_scalar_across_segments(eq):
         for got, value in zip(ratios, want):
             assert abs(got[j] - value) <= 1e-13 * abs(value)
 
+
+
+def test_lane_leg_across_an_interface_is_refused(eq):
+    # a lane leg lies in one segment; one omega may cross the interface,
+    # each radius taking the factors of its own segment
+    params, leg_ratios = mhd._leg_ratios(eq, 0, K, 0.05, 6.0)
+    with pytest.raises(ValueError, match="one segment"):
+        params(np.array([OMEGA, OMEGA + 1]))
+    for r in (0.5, 1.0, 3.0):
+        *got, singular = leg_ratios(r, *params(OMEGA))
+        assert not singular
+        assert got == list(point_ratios(eq, 0, K, OMEGA, r))
 
 # A hydrodynamic core, a warm magnetized layer with every field term set, and
 # a cold envelope with B0phi = I/r: one segment of each form.  Only the
@@ -501,14 +532,13 @@ def _factored(eq, m, k, omega, r):
 
 @pytest.mark.parametrize("which", ["cohn", "mixed"])
 def test_factored_ratios_match_direct_formula(eq, which):
-    # scalar calls, and lanes along one leg across every interface
+    # scalar calls, and lanes in every segment, each through a leg inside it
     equilibrium = eq if which == "cohn" else MIXED
     rng = np.random.default_rng(17)
     for m in range(-2, 3):
         r = rng.uniform(0.05, 6.0, 40)
         omega = rng.uniform(-5.0, 5.0, r.size) + 1j * rng.uniform(-3.0, 3.0, r.size)
-        params, leg_ratios = mhd._leg_ratios(equilibrium, m, K, 6.0, 0.05)
-        *lanes, singular = leg_ratios(r, *params(omega))
+        *lanes, singular = _segment_lanes(equilibrium, m, K, r, omega)
         assert not singular.any()
         for j in range(r.size):
             want = _direct(equilibrium, m, K, omega[j], r[j])

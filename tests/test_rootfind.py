@@ -93,6 +93,20 @@ def test_spectral_web_requires_minimum_grid():
         s.spectral_web(lambda w: w, (0, 1, 0, 1), 4, 4)
 
 
+@pytest.mark.parametrize("region", [(1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 0, 1)])
+def test_spectral_web_refuses_a_reversed_or_empty_region(region):
+    with pytest.raises(ValueError, match="region"):
+        s.spectral_web(lambda w: w - (0.5 + 0.5j), region, 8, 8)
+    with pytest.raises(ValueError, match="region"):
+        s.dispersion_scan(lambda k: (lambda w: w - (0.5 + 0.5j)), [1.0], region, 8, 8)
+
+
+@pytest.mark.parametrize("lam_range", [(25.0, 0.0), (3.0, 3.0)])
+def test_scan_real_refuses_a_reversed_or_empty_range(lam_range):
+    with pytest.raises(ValueError, match="range"):
+        s.scan_real(lambda lam: lam, lam_range, 60)
+
+
 def test_spectral_web_missing_samples_excluded():
     def qf(w):
         if abs(w - (1 + 1j)) < 0.4:
@@ -252,6 +266,25 @@ def test_dispersion_scan_records_gap_then_recovers():
     assert points[0].omega is not None
     assert points[1].omega is None
     assert points[2].omega is not None
+
+
+def test_dispersion_scan_records_a_gap_for_an_empty_recentered_window(monkeypatch):
+    # the root found at k = 1 lies so far below the real axis that the
+    # fallback web at k = 2, recentered on it and kept above Im = 1e-3,
+    # would be empty: that k is a gap, and no web is built there
+    windows = []
+
+    def web(qf, window, nx, ny, workers):
+        windows.append(window)
+        return s.spectral_web(qf, window, nx, ny, workers)
+
+    def family(k):  # no root at k = 2: its secant cannot converge
+        return (lambda w: w - (0.5 - 0.8j)) if k == 1.0 else (lambda w: 1 + 0j)
+
+    monkeypatch.setattr(s.rootfind, "spectral_web", web)
+    points = s.dispersion_scan(family, [1.0, 2.0], (0.0, 1.0, -1.0, 0.0), 8, 8)
+    assert [p.omega is None for p in points] == [False, True]
+    assert windows == [(0.0, 1.0, -1.0, 0.0)]
 
 
 class _CountingFamily:
