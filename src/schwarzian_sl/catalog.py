@@ -156,6 +156,8 @@ def cohn_jet(
         raise ValueError("density ratio eta must be positive")
     if M < 0.0:
         raise ValueError("Mach number must be nonnegative")
+    if not float(m).is_integer():
+        raise ValueError(f"azimuthal mode number m must be an integer, got {m}")
     return StabilityConfig(model=CohnJetModel(M=M, eta=eta), m=m, k=k)
 
 

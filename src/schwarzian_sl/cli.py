@@ -122,8 +122,6 @@ def _resolve(args: argparse.Namespace, kind: str | None) -> tuple[Any, str]:
         raise ConfigError(f"{args.command} takes {kind} problems; "
                           f"{args.problem} is a {entry.kind} problem")
     method = args.method or entry.default_method
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     problem = entry.build(**_parse_params(args.param, entry.default_params))
     schwarzian_only = entry.kind == "stability" or args.command == "eigenfunction"
     if method == "minimalist" and schwarzian_only:
@@ -420,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                   argv: list[str]) -> None:
-    """Fill the flags ``argv`` leaves out from the --config file; a string
-    value is converted by its flag's own type."""
+    """Fill the flags ``argv`` leaves out from the --config file, each value
+    checked by `_config_value`."""
     if not args.config:
         return
     with open(args.config) as fh:
@@ -430,19 +428,35 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
         raise ConfigError("config file must hold a JSON object")
     provided = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    types = {a.dest: a.type for a in commands.choices[args.command]._actions}
+    actions = {a.dest: a for a in commands.choices[args.command]._actions}
     for key, value in defaults.items():
         flag = "--" + key.replace("_", "-")
         attr = key.replace("-", "_")
-        if flag in provided or not hasattr(args, attr):
+        if flag in provided or attr not in actions:
             continue
-        if isinstance(value, str) and types.get(attr):
+        setattr(args, attr, _config_value(key, value, actions[attr]))
+
+
+def _config_value(key: str, value: Any, action: argparse.Action) -> Any:
+    """A --config value as its flag would take it: a switch takes true or
+    false; any other flag a string, or a number where the flag has a type,
+    which then converts the value's text; and the result must be one of the
+    flag's choices."""
+    if isinstance(action, argparse._StoreConstAction):  # --no-refine
+        valid = isinstance(value, bool)
+    else:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        valid = isinstance(value, str) or (number and action.type is not None)
+        if valid and action.type is not None:
             try:
-                value = types[attr](value)
+                value = action.type(str(value))
             except ValueError:
-                raise ConfigError(f"config value {key}={value!r} is not a valid "
-                                  f"{types[attr].__name__}") from None
-        setattr(args, attr, value)
+                valid = False
+        valid = valid and (action.choices is None or value in action.choices)
+    if not valid:
+        raise ConfigError(f"config value {key}={value!r} is not valid for "
+                          f"{action.option_strings[0]}")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -26,6 +26,10 @@ k^2 I^2/(delta r^2), rf12 = r^4/I^2 - k^2 r^2/delta, rf21 = -delta -
 I^2/r^4 + k^2 I^4/(delta r^6); there delta is constant, so the singular
 test runs once per leg.  Other segments use the full form, with the test
 (the Alfven radius at m != 0 among others) at every stage.
+
+The jet legs run in s = ln r, where the axis, a regular singular point,
+does not force the steps to shrink like r: their rhs is r dy/dr, the
+system's body called with 1 for r.  `jet_trajectories` reports radii.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 from .integrate import (
     OdeSystem,
     SingularSurface,
+    StopReason,
     Tolerances,
     Trajectory,
     integrate,
@@ -209,25 +214,29 @@ def _leg_ratios(eq: MhdEquilibrium, m: int, k: float, lo: float, hi: float):
 
 
 def _leg_system(eq: MhdEquilibrium, m: int, k: float, lo: float, hi: float,
-                dimension: int, body, lane_body=None) -> tuple[OdeSystem, Callable]:
+                dimension: int, body, lane_body=None, ln_r: bool = False
+                ) -> tuple[OdeSystem, Callable]:
     """dy/dr = body(r, y, rf11, rf12, rf21) over the radii between lo and
-    hi, whose parameter is ``params(omega)`` of `_leg_ratios`, and params.
-    The scalar rhs raises SingularSurface on resonance; the lane form, from
+    hi, or with ``ln_r`` r dy/dr = body(1, ...) over s = ln r, whose
+    parameter is ``params(omega)`` of `_leg_ratios`, and params.  The
+    scalar rhs raises SingularSurface on resonance; the lane form, from
     ``lane_body``, marks those lanes."""
     params, ratios = _leg_ratios(eq, m, k, lo, hi)
 
-    def rhs(r, y, f):
+    def rhs(x, y, f):
+        r = math.exp(x) if ln_r else x
         try:
             rf11, rf12, rf21, singular = ratios(r, *f)
         except ZeroDivisionError:
             singular = True
         if singular:
             raise SingularSurface(f"a continuous-spectrum denominator vanishes at r={r}")
-        return body(r, y, rf11, rf12, rf21)
+        return body(1.0 if ln_r else r, y, rf11, rf12, rf21)
 
-    def lanes(r, y, rows):
+    def lanes(x, y, rows):
+        r = np.exp(x) if ln_r else x
         rf11, rf12, rf21, singular = ratios(r, *rows)
-        return np.array(lane_body(r, y, rf11, rf12, rf21)), singular
+        return np.array(lane_body(1.0 if ln_r else r, y, rf11, rf12, rf21)), singular
 
     return OdeSystem(dimension, rhs, lanes if lane_body else None), params
 
@@ -326,7 +335,7 @@ def _legs(eq: MhdEquilibrium, m: int, k: float, approach: Approach, launch, cuts
     start_in = start * (1.0 - _INTERFACE_NUDGE) if start in eq.interfaces else start
     body = _y1_body(approach)
     lane_body = functools.partial(body, exp=np.exp) if body is y1_g_system_rhs else body
-    return launch, [(x0, x1, *_leg_system(eq, m, k, x0, x1, 3, body, lane_body))
+    return launch, [(x0, x1, *_leg_system(eq, m, k, x0, x1, 3, body, lane_body, ln_r=True))
                     for x0, x1 in ((start_in, cuts[0]), (start, cuts[1]))]
 
 
@@ -336,7 +345,8 @@ def jet_trajectories(
     start: float = 1.0, tol: Tolerances = Tolerances(rel=1e-8, abs=1e-10),
     store_path: bool = True,
 ) -> tuple[Trajectory, Trajectory]:
-    """Integrate from the launch radius toward the axis and toward infinity.
+    """Integrate from the launch radius toward the axis and toward infinity,
+    in s = ln r; the legs report radii.
 
     The state is continuous across interfaces (single integration with
     piecewise coefficients).  A launch sitting exactly on an interface is
@@ -345,11 +355,22 @@ def jet_trajectories(
     """
     launch, legs = _legs(eq, m, k, approach, launch, cuts, start)
     inward, outward = (
-        integrate(sys, x0, x1, launch, params(omega), tol, store_path=store_path)
+        _in_radii(integrate(sys, math.log(x0), math.log(x1), launch, params(omega), tol,
+                            store_path=store_path), x0, x1)
         for x0, x1, sys, params in legs
     )
     raise_if_stalled(inward, outward)
     return inward, outward
+
+
+def _in_radii(leg: Trajectory, r0: float, r1: float) -> Trajectory:
+    """A leg run in s = ln r from ln r0 toward ln r1, in radii: exactly r0
+    and r1 at its ends."""
+    xs = np.exp(leg.xs)
+    if leg.stop_reason is StopReason.REACHED_END:
+        xs[-1] = r1
+    xs[0] = r0
+    return Trajectory(xs, leg.ys, (float(xs[-1]), leg.y_end), leg.stop_reason)
 
 
 @dataclass(frozen=True)
@@ -393,7 +414,7 @@ class JetQuantizationFunction:
         launch, legs = _legs(eq, self.m, self.k, self.approach, self.launch, self.cuts, 1.0)
         tol = Tolerances(rel=self.rel_tol, abs=self.abs_tol)
         (_, inner, fail_in), (_, outer, fail_out) = (
-            integrate_lanes(sys, x0, x1, launch, params(omegas), tol)
+            integrate_lanes(sys, math.log(x0), math.log(x1), launch, params(omegas), tol)
             for x0, x1, sys, params in legs)
         value = outer[2] - inner[2]
         if self.approach is Approach.PHI:

@@ -27,6 +27,7 @@ from .core import SchwarzianSLError
 QuantizationFunction = Callable[[complex], complex]
 
 _TWO_PI = 2.0 * math.pi
+_PREDICTOR_ROOTS = 4  # roots the dispersion predictor interpolates: a cubic in k
 
 
 class NonFiniteValue(SchwarzianSLError):
@@ -437,11 +438,12 @@ def dispersion_scan(
     The first grid point gets a full web over ``region``.  Afterwards each
     k is a predictor-corrector continuation step (Allgower and Georg,
     *Introduction to Numerical Continuation Methods*, ch. 2): the seed is
-    the linear extrapolation of the last two roots found in a row, or the
-    last root when there is only one (after the first web, a gap or a
+    the polynomial through the last roots found in a row at distinct k, up
+    to `_PREDICTOR_ROOTS` (a row restarts after the first web, a gap or a
     fallback web), and the secant corrector starts with a Newton step on
-    the slope the last root converged with.  A corrected root farther from
-    the prediction than the last continuation step has hopped to another
+    the polynomial through their final slopes, one degree lower, the latest
+    first and up to a root without one.  A corrected root farther from the
+    prediction than the last continuation step has hopped to another
     branch; that, and a corrector failure, fall back to a fresh web
     recentered on the last root, kept above Im omega = 1e-3.  Lost roots
     are recorded as gaps rather than aborting the scan, and so is a k whose
@@ -458,13 +460,15 @@ def dispersion_scan(
         root: SecantRoot | None = None
         method = "web"
         if branch:
-            (k0, w0), (k1, w1) = branch[0], branch[-1]
-            seed, hop = w1, math.inf
-            if k0 != k1:  # two roots at distinct k: predict, guard the hop
-                seed = w1 + (w1 - w0) * (k - k1) / (k1 - k0)
-                hop = abs(w1 - w0)
+            ks, ws = zip(*branch[::-1])  # the latest first
+            w1 = ws[0]
+            hop = abs(w1 - ws[1]) if len(ws) > 1 else math.inf  # the last step
+            slopes = [w.slope for w in ws[:max(1, len(ws) - 1)]]  # one degree lower
+            slopes = slopes[:slopes.index(None)] if None in slopes else slopes
+            seed = _extrapolate(ks, ws, k)
             try:
-                found = refine_complex_root(qf, seed, slope=w1.slope)
+                found = refine_complex_root(
+                    qf, seed, slope=_extrapolate(ks, slopes, k) if slopes else None)
                 if abs(found - seed) <= hop:
                     root, method = found, "continuation"
             except SchwarzianSLError:
@@ -493,6 +497,18 @@ def dispersion_scan(
             k=k, omega=None if root is None else complex(root), method=method))
         if root is None:
             branch = branch[-1:]
-        else:
-            branch = (branch[-1:] if method == "continuation" else []) + [(k, root)]
+        elif method == "web":
+            branch = [(k, root)]
+        else:  # the latest root at each distinct k
+            branch = [(kb, wb) for kb, wb in branch if kb != k][1 - _PREDICTOR_ROOTS:] + [(k, root)]
     return points
+
+
+def _extrapolate(ks: Sequence[float], values: Sequence[complex], k: float) -> complex:
+    """The polynomial through (ks[i], values[i]) for every value, at k
+    (Neville's scheme)."""
+    p = list(values)
+    for j in range(1, len(p)):
+        for i in range(len(p) - j):
+            p[i] = ((k - ks[i + j]) * p[i] - (k - ks[i]) * p[i + 1]) / (ks[i] - ks[i + j])
+    return p[0]

@@ -240,6 +240,47 @@ def test_cli_config_string_takes_its_flag_type(tmp_path, capsys):
     assert _refused(["--config", str(config), "solve", "--problem", "harmonic"], capsys)
 
 
+@pytest.mark.parametrize("doc", [
+    {"samples": 30.5},  # reached scan_real as a float: a TypeError traceback, exit 1
+    {"samples": True},
+    {"format": "xml"},  # silently wrote CSV
+    {"method": "bogus"},
+    {"range": [0, 3]},
+    {"rel": None},
+])
+def test_cli_config_value_takes_its_flag_type_and_choices(doc, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "h.csv"
+    assert _refused(["--config", str(config), "solve", "--problem", "harmonic",
+                     "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+def test_cli_config_numbers_and_switches_pass(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"samples": 30, "abs": 1e-10, "format": "json"}))
+    out = tmp_path / "h.json"
+    assert main(["--config", str(config), "solve", "--problem", "harmonic", "--range", "0,3",
+                 "--out", str(out)]) == 0
+    assert "3 eigenvalue(s)" in capsys.readouterr().out
+    assert json.loads(out.read_text())["meta"]["config"]["samples"] == 30
+    config.write_text(json.dumps({"refine": False, "threads": 1}))
+    assert main(["--config", str(config), "web", "--problem", "cohn", "--region", "2,4,1,3",
+                 "--grid", "8x8", "--rel", "1e-6", "--abs", "1e-9"]) == 0
+    assert "refined" not in capsys.readouterr().out
+    config.write_text(json.dumps({"refine": "no"}))
+    assert _refused(["--config", str(config), "web", "--problem", "cohn", "--region",
+                     "2,4,1,3", "--grid", "8x8"], capsys)
+
+
+@pytest.mark.parametrize("m", ["0.5", "inf", "nan"])
+def test_cli_refuses_a_non_integral_azimuthal_mode(m, capsys):
+    # e^{i m phi} is single-valued only for integer m; m = 0.5 ran a web
+    assert _refused(["web", "--problem", "cohn", "--param", f"m={m}", "--region", "2,4,1,3",
+                     "--grid", "8x8", "--no-refine"], capsys)
+
+
 @pytest.mark.parametrize("kgrid", ["1,2,0", "1,2,2.5"])
 def test_cli_refuses_a_kgrid_count_that_is_not_a_positive_integer(kgrid, capsys):
     assert _refused(["dispersion", "--problem", "cohn", "--kgrid", kgrid,

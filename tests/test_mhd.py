@@ -354,6 +354,39 @@ def test_jet_lanes_name_the_error_scalar_calls_raise(cohn_model, monkeypatch):
     assert singular == [0j, complex(K)]
 
 
+@pytest.mark.parametrize("store_path", [True, False])
+def test_jet_trajectories_return_radii(eq, store_path):
+    # the legs run in s = ln r; their abscissae come back as radii, from the
+    # launch (nudged inside the interface for the inward leg) to the cuts
+    inward, outward = s.jet_trajectories(eq, 0, K, OMEGA, store_path=store_path)
+    assert inward.xs[0] == 1.0 - 1e-9 and outward.xs[0] == 1.0
+    assert np.all(np.diff(inward.xs) < 0.0) and np.all(np.diff(outward.xs) > 0.0)
+    assert inward.xs[-1] == inward.x_end == mhd.DEFAULT_CUTS[0]
+    assert outward.xs[-1] == outward.x_end == mhd.DEFAULT_CUTS[1]
+    assert len(inward.xs) > 2 if store_path else len(inward.xs) == 2
+
+
+def test_jet_inward_leg_attempts(cohn_model, monkeypatch):
+    # toward the axis a step in r must shrink like r, a step in ln r need
+    # not: one evaluation at k = pi made 34 inward DOP853 attempts in r
+    calls = {}
+    integrate = mhd.integrate
+
+    def counting(sys, x0, x1, *args, **kwargs):
+        leg = "inward" if x1 < x0 else "outward"
+
+        def rhs(x, y, f):
+            calls[leg] = calls.get(leg, 0) + 1
+            return sys.rhs(x, y, f)
+
+        return integrate(s.OdeSystem(sys.dimension, rhs), x0, x1, *args, **kwargs)
+
+    monkeypatch.setattr(mhd, "integrate", counting)
+    s.JetQuantizationFunction(cohn_model, 0, K)(3.08 + 1.97j)
+    # the launch rhs, the first-step probe, then 12 calls per attempt
+    assert (calls["inward"] - 2) / 12 <= 20
+
+
 @pytest.mark.parametrize("cuts", [(2.0, 10.0), (1.0, 10.0), (0.0, 10.0), (0.01, 1.0)])
 def test_jet_cuts_must_bracket_the_jet_radius(cohn_model, cuts):
     with pytest.raises(ValueError, match="cuts"):

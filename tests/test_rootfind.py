@@ -321,6 +321,56 @@ def test_dispersion_scan_evaluation_economy():
     assert continued <= 5 * 22
 
 
+def _quadratic_path(k):
+    return (1 + 1j) + 0.2 * k + 0.03j * k * k
+
+
+@pytest.mark.parametrize("k_grid", [
+    np.linspace(0.5, 6.0, 23),
+    [6.0, 5.2, 4.9, 4.1, 3.0, 2.6, 1.5, 1.2, 0.4],  # decreasing, non-uniform
+])
+def test_dispersion_scan_predicts_a_quadratic_path_exactly(k_grid):
+    # from the fourth root in a row on, the polynomial predictor lies on the
+    # path: the seed and the Newton step on the predicted slope are all a k
+    # costs, where a linear predictor's seed is off by the path's curvature
+    family = _CountingFamily(_quadratic_path)
+    points = s.dispersion_scan(family, k_grid, (0.0, 4.0, 0.1, 3.0), 12, 12)
+    assert [p.method for p in points] == ["web"] + ["continuation"] * (len(k_grid) - 1)
+    for p in points:
+        assert abs(p.omega - _quadratic_path(p.k)) < 1e-10
+    assert all(family.calls[float(k)] <= 2 for k in k_grid[4:])
+
+
+def test_dispersion_scan_slope_polynomial_stops_at_a_missing_slope(monkeypatch):
+    # the slope polynomial runs through the latest roots' slopes, one root
+    # fewer than the seed's, up to the first root that carries none: here
+    # the root at k = 2, so k = 3 gets no slope, k = 4 a constant, k = 5 a
+    # line, and k = 6, with that root out of the row, a parabola
+    def slope_of(k):
+        return k + 0.5j * k * k
+
+    passed = {}
+
+    def refine(qf, seed, slope=None):  # the root, with the slope above
+        passed[qf.k] = slope
+        return s.rootfind.SecantRoot(_quadratic_path(qf.k), None if qf.k == 2.0 else slope_of(qf.k))
+
+    def family(k):
+        def qf(w):
+            return w - _quadratic_path(k)
+        qf.k = k
+        return qf
+
+    monkeypatch.setattr(s.rootfind, "refine_complex_root", refine)
+    points = s.dispersion_scan(family, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], (0.0, 2.0, 0.0, 2.0), 16, 16)
+    assert [p.method for p in points] == ["web"] + ["continuation"] * 5
+    assert passed[2.0] == slope_of(1.0)
+    assert passed[3.0] is None
+    assert passed[4.0] == slope_of(3.0)
+    assert abs(passed[5.0] - (2 * slope_of(4.0) - slope_of(3.0))) < 1e-12
+    assert abs(passed[6.0] - slope_of(6.0)) < 1e-12
+
+
 def test_dispersion_scan_carried_slope_is_a_newton_step():
     # on a linear family the Newton step with the carried slope lands on the
     # root: a continued k costs the predicted seed and at most that point
