@@ -8,6 +8,7 @@ units (lengths in jet radii, speeds in the jet sound speed).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable
@@ -48,17 +49,19 @@ class StabilityConfig:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
     builder: Callable[..., Any]
-    default_params: dict[str, Any]
     paper_targets: tuple[Target, ...]
     kind: str  # "sl" or "stability"
     default_method: str
     description: str
 
+    @property
+    def default_params(self) -> dict[str, Any]:
+        """The builder's parameters and their signature defaults."""
+        return {name: p.default for name, p in inspect.signature(self.builder).parameters.items()}
+
     def build(self, **overrides: Any) -> Any:
-        params = {**self.default_params, **overrides}
-        return self.builder(**params)
+        return self.builder(**overrides)
 
 
 def morse(lambda_param: float = 5.0) -> SLProblem:
@@ -193,36 +196,28 @@ def _entries() -> dict[str, CatalogEntry]:
     )
     return {
         "morse": CatalogEntry(
-            name="morse",
             builder=morse,
-            default_params={"lambda_param": 5.0},
             paper_targets=morse_targets,
             kind="sl",
             default_method="schwarzian-phi",
             description="Morse potential well (bound states below the plateau)",
         ),
         "harmonic": CatalogEntry(
-            name="harmonic",
             builder=harmonic,
-            default_params={},
             paper_targets=harmonic_targets,
             kind="sl",
             default_method="schwarzian-phi",
             description="quantum harmonic oscillator",
         ),
         "paine": CatalogEntry(
-            name="paine",
             builder=paine,
-            default_params={},
             paper_targets=paine_targets,
             kind="sl",
             default_method="minimalist",
             description="finite-interval spectral test problem (Dirichlet ends)",
         ),
         "oscillator": CatalogEntry(
-            name="oscillator",
             builder=const_oscillator,
-            default_params={"kappa": 1j},
             paper_targets=(),
             kind="sl",
             default_method="schwarzian-g",
@@ -230,9 +225,7 @@ def _entries() -> dict[str, CatalogEntry]:
             " non-diverging branch F = i kappa)",
         ),
         "cohn": CatalogEntry(
-            name="cohn",
             builder=cohn_jet,
-            default_params={"M": 1.0, "eta": 0.01, "m": 0, "k": math.pi},
             paper_targets=(
                 Target(
                     3.08 + 1.97j,

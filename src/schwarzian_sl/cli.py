@@ -1,16 +1,17 @@
 """Command-line surface: problem selection, solving, spectral webs,
 eigenfunction export and dispersion scans.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-failure.  A JSON config file (--config) provides defaults; explicit flags
-win.  A web evaluates its samples as lanes of one vectorized integration;
---threads (default 1) splits them into that many chunks, each run in its
-own process.
+Exit codes: 0 success, 2 configuration/validation error (a usage error too,
+as one line), 3 numerical failure.  A JSON config file's (--config) values
+are read as flags placed before the command line's own, which win.  A web
+evaluates its samples as lanes of one vectorized integration; --threads
+(default 1) splits them into that many chunks, each in its own process.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -43,7 +44,6 @@ from .schwarzian import (
     eigenfunction,
     g_difference_value,
     solve_asymptotic,
-    solve_constant_from_bc,
 )
 from .integrate import Tolerances, merge_legs
 
@@ -58,6 +58,11 @@ METHODS = ("minimalist", "schwarzian-g", "schwarzian-phi")
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error: one error line, exit 2
+        raise ConfigError(message)
 
 
 def _parse_params(text: str | None, defaults: dict[str, Any]) -> dict[str, Any]:
@@ -86,6 +91,8 @@ def _parse_params(text: str | None, defaults: dict[str, Any]) -> dict[str, Any]:
                 pass
         else:
             raise ConfigError(f"parameter {key} needs a {'real ' if real else ''}number, got {raw!r}")
+        if not cmath.isfinite(out[key]):
+            raise ConfigError(f"parameter {key} needs a finite number, got {raw!r}")
     return out
 
 
@@ -93,7 +100,10 @@ def _parse_floats(text: str, n: int, what: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != n:
         raise ConfigError(f"{what} needs {n} comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
+    values = tuple(float(p) for p in parts)
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what} needs finite numbers, got {text!r}")
+    return values
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -288,6 +298,8 @@ def cmd_eigenfunction(args: argparse.Namespace) -> int:
     built, method = _resolve(args, None)
     tol = Tolerances(rel=args.rel, abs=args.abs)
     eigenvalue = complex(args.eigenvalue)
+    if not cmath.isfinite(eigenvalue):
+        raise ConfigError(f"--eigenvalue needs a finite number, got {args.eigenvalue!r}")
     approach = _approach(method)
     if isinstance(built, StabilityConfig):
         inward, outward = jet_trajectories(
@@ -304,9 +316,7 @@ def cmd_eigenfunction(args: argparse.Namespace) -> int:
     low, high, _ = solve_asymptotic(
         built, eigenvalue, approach, tol, store_path=True
     )
-    constant = solve_constant_from_bc(
-        low.y_end, complex(float("inf"), 0.0), approach
-    )
+    constant = -low.y_end[2]  # the decayed lower end: F = infinity
     xs, states = merge_legs(low, high)
     samples = eigenfunction(xs, states, constant, approach)
     meta = _meta(args, eigenvalue=eigenvalue, label=built.label)
@@ -368,7 +378,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schwarzian-sl",
         description="Sturm-Liouville and MHD-stability eigenvalue solver "
         "(Riccati/Schwarzian formulations, spectral webs)",
@@ -416,56 +426,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                  argv: list[str]) -> None:
-    """Fill the flags ``argv`` leaves out from the --config file, each value
-    checked by `_config_value`."""
-    if not args.config:
-        return
+def _config_argv(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                 argv: list[str]) -> list[str]:
+    """``argv`` with each --config value that names a flag of the command
+    put right after its name as "--flag=value" (a switch: true or false, as
+    its bare flag), for argparse to judge; a number needs a typed flag."""
     with open(args.config) as fh:
         defaults = json.load(fh)
     if not isinstance(defaults, dict):
         raise ConfigError("config file must hold a JSON object")
-    provided = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = {a.dest: a for a in commands.choices[args.command]._actions}
+    flags = []
     for key, value in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        attr = key.replace("-", "_")
-        if flag in provided or attr not in actions:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             continue
-        setattr(args, attr, _config_value(key, value, actions[attr]))
-
-
-def _config_value(key: str, value: Any, action: argparse.Action) -> Any:
-    """A --config value as its flag would take it: a switch takes true or
-    false; any other flag a string, or a number where the flag has a type,
-    which then converts the value's text; and the result must be one of the
-    flag's choices."""
-    if isinstance(action, argparse._StoreConstAction):  # --no-refine
-        valid = isinstance(value, bool)
-    else:
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        valid = isinstance(value, str) or (number and action.type is not None)
-        if valid and action.type is not None:
-            try:
-                value = action.type(str(value))
-            except ValueError:
-                valid = False
-        valid = valid and (action.choices is None or value in action.choices)
-    if not valid:
-        raise ConfigError(f"config value {key}={value!r} is not valid for "
-                          f"{action.option_strings[0]}")
-    return value
+        flag = action.option_strings[-1]
+        switch = isinstance(action, argparse._StoreConstAction)  # --no-refine
+        if switch and isinstance(value, bool):
+            flags += [flag] if value == action.const else []
+        elif not switch and (type(value) is str or (type(value) in (int, float) and action.type)):
+            flags.append(f"{flag}={value}")
+        else:
+            raise ConfigError(f"config value {key}={value!r} is not valid for {flag}")
+    # the command is the first token of its name that is not a --config path
+    at = next(i for i, token in enumerate(argv) if token == args.command
+              and not (i and argv[i - 1].startswith("--") and "=" not in argv[i - 1]))
+    return argv[:at + 1] + flags + argv[at + 1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(parser, args, argv)
+        args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(_config_argv(parser, args, argv))
         return args.func(args)
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

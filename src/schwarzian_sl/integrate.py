@@ -82,8 +82,8 @@ class Tolerances:
     min_step: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.rel <= 0.0 or self.abs <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel < math.inf and 0.0 < self.abs < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 

@@ -325,35 +325,34 @@ DEFAULT_G_LAUNCH = (0j, 0j, 0j)  # (Y4, Y3, g1) at the interface
 DEFAULT_PHI_LAUNCH = (0j, 1 + 0j, 0j)  # (Y4, Y3, Phi1) at the interface
 
 
-def _legs(eq: MhdEquilibrium, m: int, k: float, approach: Approach, launch, cuts,
-          start: float):
+def _legs(eq: MhdEquilibrium, m: int, k: float, approach: Approach, launch, cuts):
     """The launch state and, for the inward then the outward leg, its from
-    and to radii, its y1 system and factor map (`_leg_system`); a start on
-    an interface is nudged inside for the inward leg."""
+    and to radii, its y1 system and factor map (`_leg_system`).  Both legs
+    start at the jet radius 1, nudged inside for the inward leg when it is
+    an interface."""
     if launch is None:
         launch = DEFAULT_PHI_LAUNCH if approach is Approach.PHI else DEFAULT_G_LAUNCH
-    start_in = start * (1.0 - _INTERFACE_NUDGE) if start in eq.interfaces else start
+    start_in = 1.0 - _INTERFACE_NUDGE if 1.0 in eq.interfaces else 1.0
     body = _y1_body(approach)
     lane_body = functools.partial(body, exp=np.exp) if body is y1_g_system_rhs else body
     return launch, [(x0, x1, *_leg_system(eq, m, k, x0, x1, 3, body, lane_body, ln_r=True))
-                    for x0, x1 in ((start_in, cuts[0]), (start, cuts[1]))]
+                    for x0, x1 in ((start_in, cuts[0]), (1.0, cuts[1]))]
 
 
 def jet_trajectories(
     eq: MhdEquilibrium, m: int, k: float, omega: complex, approach: Approach = Approach.G,
     launch: Sequence[complex] | None = None, cuts: tuple[float, float] = DEFAULT_CUTS,
-    start: float = 1.0, tol: Tolerances = Tolerances(rel=1e-8, abs=1e-10),
-    store_path: bool = True,
+    tol: Tolerances = Tolerances(rel=1e-8, abs=1e-10), store_path: bool = True,
 ) -> tuple[Trajectory, Trajectory]:
-    """Integrate from the launch radius toward the axis and toward infinity,
+    """Integrate from the jet radius 1 toward the axis and toward infinity,
     in s = ln r; the legs report radii.
 
     The state is continuous across interfaces (single integration with
-    piecewise coefficients).  A launch sitting exactly on an interface is
-    nudged one part in 10^9 to the matching side of each leg.  A leg that
-    stalls before its cut raises StepFailure.
+    piecewise coefficients).  Where r = 1 is an interface, the inward leg
+    starts one part in 10^9 inside it.  A leg that stalls before its cut
+    raises StepFailure.
     """
-    launch, legs = _legs(eq, m, k, approach, launch, cuts, start)
+    launch, legs = _legs(eq, m, k, approach, launch, cuts)
     inward, outward = (
         _in_radii(integrate(sys, math.log(x0), math.log(x1), launch, params(omega), tol,
                             store_path=store_path), x0, x1)
@@ -390,6 +389,7 @@ class JetQuantizationFunction:
     def __post_init__(self) -> None:
         if not 0.0 < self.cuts[0] < 1.0 < self.cuts[1]:
             raise ValueError(f"cuts {self.cuts} must bracket the jet radius: 0 < inner < 1 < outer")
+        Tolerances(rel=self.rel_tol, abs=self.abs_tol)  # refused here, not at every omega
 
     def __call__(self, omega: complex) -> complex:
         """Quantization value between infinity and the axis.
@@ -411,7 +411,7 @@ class JetQuantizationFunction:
         the values (NaN where an evaluation failed) and per omega None or the
         name of the error `__call__` raises there."""
         eq = self.model.equilibrium()
-        launch, legs = _legs(eq, self.m, self.k, self.approach, self.launch, self.cuts, 1.0)
+        launch, legs = _legs(eq, self.m, self.k, self.approach, self.launch, self.cuts)
         tol = Tolerances(rel=self.rel_tol, abs=self.abs_tol)
         (_, inner, fail_in), (_, outer, fail_out) = (
             integrate_lanes(sys, math.log(x0), math.log(x1), launch, params(omegas), tol)

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import math
 
 import numpy as np
@@ -53,6 +54,17 @@ def test_cohn_jet_guards():
     config = s.cohn_jet()
     assert config.m == 0 and abs(config.k - math.pi) < 1e-12
     assert config.model.eta == 0.01
+
+
+def test_every_builder_parameter_has_a_default(capsys):
+    # an entry's defaults are its builder's signature defaults
+    for name, entry in s.CATALOG.items():
+        assert inspect.Parameter.empty not in entry.default_params.values(), name
+    assert s.CATALOG["cohn"].default_params == {"M": 1.0, "eta": 0.01, "m": 0, "k": math.pi}
+    assert cli.main(["list"]) == 0
+    out = capsys.readouterr().out
+    assert "_empty" not in out
+    assert "defaults: lambda_param=5.0" in out and "defaults: kappa=1j" in out
 
 
 def test_every_sl_entry_validates_clean():

@@ -182,6 +182,16 @@ def test_accepted_steps_keep_the_step_floor(cohn_model):
     assert 9.7 < tr.x_end < 10.0
 
 
+@pytest.mark.parametrize("rel, abs_", [
+    (float("nan"), 1e-10), (float("inf"), 1e-10), (1e-8, float("nan")), (1e-8, float("inf")),
+    (0.0, 1e-10), (1e-8, -1e-10),
+])
+def test_tolerances_must_be_positive_and_finite(rel, abs_):
+    # abs = inf accepted every step, and a NaN tolerance failed every one
+    with pytest.raises(ValueError, match="tolerances"):
+        s.Tolerances(rel=rel, abs=abs_)
+
+
 def test_nan_initial_step_stops_at_once():
     # tolerances of 1e-300 overflow the scaled norms and give a NaN step
     calls = 0

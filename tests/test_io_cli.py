@@ -184,7 +184,7 @@ def test_cli_method_problem_compatibility(tmp_path, capsys):
                  "--eigenvalue", "1.52"]) == 2
     assert main(["dispersion", "--problem", "morse", "--kgrid", "1,2,2",
                  "--region", "0,1,0,1"]) == 2
-    # a config file bypasses the argparse choices
+    # a config file's method meets the argparse choices too
     config = tmp_path / "bogus.json"
     config.write_text(json.dumps({"method": "bogus"}))
     assert main(["--config", str(config), "solve", "--problem", "morse"]) == 2
@@ -247,6 +247,7 @@ def test_cli_config_string_takes_its_flag_type(tmp_path, capsys):
     {"method": "bogus"},
     {"range": [0, 3]},
     {"rel": None},
+    {"out": 5},  # --out has no type to read a number with
 ])
 def test_cli_config_value_takes_its_flag_type_and_choices(doc, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -272,6 +273,71 @@ def test_cli_config_numbers_and_switches_pass(tmp_path, capsys):
     config.write_text(json.dumps({"refine": "no"}))
     assert _refused(["--config", str(config), "web", "--problem", "cohn", "--region",
                      "2,4,1,3", "--grid", "8x8"], capsys)
+
+
+def test_cli_abbreviated_flag_beats_the_config(tmp_path, capsys):
+    # the config's values are read as flags placed before the command
+    # line's own, so the abbreviated --samp wins as --samples would
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"samples": 30, "range": "0,3"}))
+    out = tmp_path / "h.json"
+    assert main(["--config", str(config), "solve", "--problem", "harmonic", "--samp", "8",
+                 "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    config = json.loads(out.read_text())["meta"]["config"]
+    assert (config["samples"], config["range"]) == (8, "0,3")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],  # --problem is required
+    ["solve", "--problem", "harmonic", "--samples", "x"],
+    ["solve", "--problem", "harmonic", "--s", "3"],  # --samples or --scan-out
+    ["solve", "--problem", "harmonic", "--method", "bogus"],
+    ["integrate", "--problem", "harmonic"],
+    [],
+])
+def test_cli_usage_errors_are_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["solve", "--help"]])
+def test_cli_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "harmonic", "--range", "0,6", "--samples", "24", "--abs", "inf"],
+    ["solve", "--problem", "harmonic", "--range", "0,6", "--samples", "24", "--abs", "nan"],
+    ["solve", "--problem", "harmonic", "--range", "0,6", "--samples", "24", "--rel", "nan"],
+    ["solve", "--problem", "harmonic", "--range", "0,6", "--samples", "24", "--rel", "inf"],
+    ["solve", "--problem", "harmonic", "--range", "0,inf", "--samples", "24"],
+    ["solve", "--problem", "paine", "--range=-inf,0", "--samples", "24"],
+    ["solve", "--problem", "morse", "--param", "lambda_param=inf", "--samples", "24"],
+    ["solve", "--problem", "oscillator", "--param", "kappa=nanj", "--samples", "24"],
+    ["web", "--problem", "cohn", "--region", "2,inf,1,3", "--grid", "8x8", "--no-refine"],
+    ["web", "--problem", "cohn", "--region", "2,4,1,3", "--grid", "8x8", "--no-refine",
+     "--rel", "nan"],
+    ["web", "--problem", "cohn", "--region", "2,4,1,3", "--grid", "8x8", "--no-refine",
+     "--cuts", "0.01,inf"],
+    ["web", "--problem", "cohn", "--param", "k=inf", "--region", "2,4,1,3", "--grid", "8x8"],
+    ["web", "--problem", "cohn", "--param", "M=nan", "--region", "2,4,1,3", "--grid", "8x8"],
+    ["dispersion", "--problem", "cohn", "--kgrid", "1,inf,3", "--region", "2,4,1,3",
+     "--grid", "8x8"],
+    ["dispersion", "--problem", "cohn", "--kgrid", "1,2,2", "--region", "2,4,1,3",
+     "--grid", "8x8", "--abs", "inf"],
+    ["eigenfunction", "--problem", "harmonic", "--eigenvalue", "nan"],
+    ["eigenfunction", "--problem", "cohn", "--eigenvalue", "3+infj"],
+])
+def test_cli_refuses_non_finite_numbers(argv, capsys):
+    # each ran with every sample failed or every k a gap, or (abs = inf)
+    # did not finish; a NaN eigenvalue was a numerical failure
+    assert _refused(argv, capsys)
 
 
 @pytest.mark.parametrize("m", ["0.5", "inf", "nan"])

@@ -393,6 +393,12 @@ def test_jet_cuts_must_bracket_the_jet_radius(cohn_model, cuts):
         s.JetQuantizationFunction(cohn_model, 0, K, cuts=cuts)
 
 
+def test_jet_quantization_refuses_non_finite_tolerances(cohn_model):
+    # refused when built, not as a failed sample at every omega of a web
+    with pytest.raises(ValueError, match="tolerances"):
+        s.JetQuantizationFunction(cohn_model, 0, K, rel_tol=float("nan"))
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_web_psi_is_independent_of_workers(cohn_model, workers):
     qf = s.JetQuantizationFunction(cohn_model, 0, K, rel_tol=1e-6, abs_tol=1e-9)
