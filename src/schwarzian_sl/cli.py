@@ -4,8 +4,8 @@ eigenfunction export and dispersion scans.
 Exit codes: 0 success, 2 configuration/validation error (a usage error too,
 as one line), 3 numerical failure.  A JSON config file's (--config) values
 are read as flags placed before the command line's own, which win.  A web
-evaluates its samples as lanes of one vectorized integration; --threads
-(default 1) splits them into that many chunks, each in its own process.
+evaluates its samples as lanes of one vectorized integration; --threads N
+(default 1) splits them into N chunks, at most one per CPU, each a process.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import cmath
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 from typing import Any
@@ -431,8 +432,11 @@ def _config_argv(parser: argparse.ArgumentParser, args: argparse.Namespace,
     """``argv`` with each --config value that names a flag of the command
     put right after its name as "--flag=value" (a switch: true or false, as
     its bare flag), for argparse to judge; a number needs a typed flag."""
-    with open(args.config) as fh:
-        defaults = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            defaults = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read --config {args.config}: {exc.strerror}") from None
     if not isinstance(defaults, dict):
         raise ConfigError("config file must hold a JSON object")
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -464,6 +468,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args(_config_argv(parser, args, argv))
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise ConfigError(f"--threads needs an integer >= 1, got {args.threads}")
+        for path in (getattr(args, "out", None), getattr(args, "scan_out", None)):
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigError(f"the directory of output file {path} does not exist")
         return args.func(args)
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

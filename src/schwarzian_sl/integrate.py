@@ -12,12 +12,14 @@ real scan grid, with an optional per-lane terminal event.
 The tableau is data.  One generator, ``_attempt(dim)``, compiles it on
 first use into a straight-line step attempt per state dimension, zero
 coefficients skipped; ``integrate_lanes`` uses the dimension-1 attempt on
-the whole (dim, n) lane block as a single component.  A step of size h
-has the error err = |h| s5 / sqrt(n (s5 + 0.01 s3)), where s5 and s3 sum
-(|e_i| / sc_i)^2 of the 5th- and 3rd-order estimates over the n
-components and sc_i = abs + rel max(|y_i|, |y_new_i|).  It is accepted
-when err <= 1; the next step is h 0.9 / err^(1/8), within 0.2 h to 10 h
-(I control, beta = 0).
+the whole (dim, n) lane block as a single component.  A system with a
+``stage``, its rhs as source, gets an attempt with that source inlined at
+every evaluation, whose steps are bit for bit those of calling the rhs.
+A step of size h has the error err = |h| s5 / sqrt(n (s5 + 0.01 s3)),
+where s5 and s3 sum (|e_i| / sc_i)^2 of the 5th- and 3rd-order estimates
+over the n components and sc_i = abs + rel max(|y_i|, |y_new_i|).  It is
+accepted when err <= 1; the next step is h 0.9 / err^(1/8), within 0.2 h
+to 10 h (I control, beta = 0).
 
 Stopping semantics:
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import textwrap
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -94,6 +97,10 @@ class OdeSystem:
     rhs: RhsFunction
     # the same rhs over lanes: x (n,), y (dim, n), lam (..., n) -> f, singular (n,)
     lanes: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
+    # the same rhs as source for `_attempt`: statements that read lam (run once
+    # per attempt), a blank line, then statements that read t and the state
+    # components u0, u1, ... they name and assign the derivative tuple dy
+    stage: str | None = None
 
 
 @dataclass
@@ -209,7 +216,7 @@ def _lane_rms(v: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _attempt(dim: int) -> Callable:
+def _attempt(dim: int, stage: str | None = None) -> Callable:
     """The DOP853 step attempt for states of ``dim`` components.
 
     ``attempt(rhs, x, y, f, hd, x_new, lam) -> (y_new, k13, e5, e3)`` takes
@@ -219,7 +226,9 @@ def _attempt(dim: int) -> Callable:
     stage are sequences of ``dim`` components: Python complexes, or one
     (dim, n) lane block with x, hd and x_new of shape (n,).  The attempt is
     straight-line code compiled from the tableau rows, zero coefficients
-    skipped; its source is ``attempt.source``.
+    skipped; its source is ``attempt.source``.  A ``stage`` is inlined at
+    every evaluation instead (rhs unused); it sees math, cmath and
+    SingularSurface and assigns none of x, y, f, hd, x_new, lam, y_*, k*.
     """
     comps = range(dim)
 
@@ -227,22 +236,29 @@ def _attempt(dim: int) -> Callable:
         return "(" + ", ".join(items) + ",)"
 
     def combo(weights, i: int) -> str:  # sum_j w_j k_(j+1) of component i
-        return " ".join(f"{'-' if w < 0 else '+'} {abs(w)!r} * k{j + 1}_{i}"
-                        for j, w in enumerate(weights) if w).lstrip("+ ")
+        (j, w), *rest = [(j, w) for j, w in enumerate(weights) if w]
+        return f"k{j + 1}_{i} * {w!r}" + "".join(
+            f" {'-' if w < 0 else '+'} k{j + 1}_{i} * {abs(w)!r}" for j, w in rest)
 
+    def evaluate(k: str, at: str, state: list[str], name: str = "") -> None:  # k = f(at, state)
+        lines.extend([f"    {k} = rhs({at}, {name or tup(state)}, lam)"] if stage is None else [
+            f"    t = {at}", *(f"    u{i} = {c}" for i, c in enumerate(state) if f"u{i}" in body),
+            textwrap.indent(body, "    "), f"    {k} = dy"])
+
+    head, body = stage.split("\n\n", 1) if stage else ("", "")
     lines = ["def attempt(rhs, x, y, f, hd, x_new, lam):",
              f"    {tup(f'y_{i}' for i in comps)} = y",
-             f"    {tup(f'k1_{i}' for i in comps)} = f"]
+             f"    {tup(f'k1_{i}' for i in comps)} = f", textwrap.indent(head, "    ")]
     for s in range(1, len(_C)):
         at = "x + hd" if _C[s] == 1.0 else f"x + {_C[s]!r} * hd"
-        state = tup(f"y_{i} + hd * ({combo(_A[s], i)})" for i in comps)
-        lines.append(f"    {tup(f'k{s + 1}_{i}' for i in comps)} = rhs({at}, {state}, lam)")
-    lines.append(f"    y_new = {tup(f'y_{i} + hd * ({combo(_B, i)})' for i in comps)}")
-    lines.append("    k13 = rhs(x_new, y_new, lam)")  # both error rows weight it 0
+        evaluate(tup(f"k{s + 1}_{i}" for i in comps), at,
+                 [f"y_{i} + ({combo(_A[s], i)}) * hd" for i in comps])
+    lines.append(f"    y_new = {tup(f'y_{i} + ({combo(_B, i)}) * hd' for i in comps)}")
+    evaluate("k13", "x_new", [f"y_new[{i}]" for i in comps], "y_new")  # both error rows weight it 0
     lines.append(f"    return y_new, k13, {tup(combo(_E5, i) for i in comps)}, "
                  f"{tup(combo(_E3, i) for i in comps)}")
     source = "\n".join(lines) + "\n"
-    namespace: dict = {}
+    namespace: dict = {"math": math, "cmath": cmath, "SingularSurface": SingularSurface}
     exec(compile(source, f"<DOP853 attempt, dim {dim}>", "exec"), namespace)
     attempt = namespace["attempt"]
     attempt.source = source
@@ -317,7 +333,7 @@ def integrate(
     ys = [y]
     x = x0
     reason = StopReason.STEP_FAILURE
-    attempt = _attempt(n)
+    attempt = _attempt(n) if sys.stage is None else _attempt(n, sys.stage)
 
     steps = 0
     while steps < tol.max_steps:

@@ -25,11 +25,14 @@ one with B0phi = I/r at m = 0 the Laurent polynomials rf11 = -1 -
 k^2 I^2/(delta r^2), rf12 = r^4/I^2 - k^2 r^2/delta, rf21 = -delta -
 I^2/r^4 + k^2 I^4/(delta r^6); there delta is constant, so the singular
 test runs once per leg.  Other segments use the full form, with the test
-(the Alfven radius at m != 0 among others) at every stage.
+(the Alfven radius at m != 0 among others) at every stage.  Each form and
+each y1 body is written once, as source, which the scalar and lane rhs and
+``y1_*_system_rhs`` run and a jet leg in one segment inlines into every
+stage of its DOP853 attempt (`OdeSystem.stage`).
 
 The jet legs run in s = ln r, where the axis, a regular singular point,
 does not force the steps to shrink like r: their rhs is r dy/dr, the
-system's body called with 1 for r.  `jet_trajectories` reports radii.
+system's body evaluated with 1 for r.  `jet_trajectories` reports radii.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ import bisect
 import cmath
 import functools
 import math
+import textwrap
+import types
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -116,11 +121,56 @@ class MhdEquilibrium:
         return MhdEquilibrium(segments=segments, gamma=float(doc.get("gamma", 5.0 / 3.0)))
 
 
+def _function(name: str, args: str, source: str, result: str, **names) -> Callable:
+    """``def name(args)`` that runs the statements ``source`` and returns
+    ``result``, with this module's globals and ``names`` in scope."""
+    namespace = {**globals(), **names}
+    text = f"def {name}({args}):\n{textwrap.indent(source, '    ')}\n    return {result}\n"
+    exec(compile(text, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+# The ratio forms of the module docstring as source: statements that read r
+# and the parameters named first (the r-independent factors, then the
+# segment's constants) and assign rf11, rf12, rf21 and singular.
+_HYDRO = "a, b, rf21, resonant", """\
+rf11, rf12, singular = 0.0, a * r * r + b, (resonant != 0) | (r == 0.0)"""
+_LAURENT = "a11, a12, a21, b21, resonant, i_sq", """\
+r_sq = r * r
+s_sq = 1.0 / r_sq
+rf11, rf12 = -1.0 + a11 * s_sq, r_sq * (r_sq / i_sq + a12)
+rf21, singular = a21 + s_sq * s_sq * (b21 * s_sq - i_sq), resonant != 0"""
+_GENERAL = ("w_sq, rho_w, scale, k, m, bz, bc, big_i, k_bz, k_sq, m_sq, bz_sq, cold, "
+            "cs_sq, rho_cs_sq"), """\
+s = 1.0 / r
+bphi = bc + big_i * s
+kb = k_bz + m * s * bphi  # k_co . B0
+kb_sq = kb * kb
+delta = rho_w - kb_sq
+singular = abs(delta) <= 1e-30 * (scale + kb_sq)
+b_sq = bz_sq + bphi * bphi
+if cold:  # the sound-speed factors cancel algebraically
+    singular = singular | (b_sq == 0.0)
+    kappa_t_sq = rho_w / b_sq - (k_sq + m_sq * s * s)
+else:
+    den = (rho_cs_sq + b_sq) * w_sq - cs_sq * kb_sq
+    den_scale = abs((rho_cs_sq + b_sq) * w_sq) + cs_sq * kb_sq + 1e-300
+    singular = singular | (abs(den) <= 1e-30 * den_scale)
+    kappa_t_sq = rho_w * w_sq / den - (k_sq + m_sq * s * s)
+bphi_sq = bphi * bphi
+rf11 = -(bphi_sq * kappa_t_sq + 2.0 * bphi * k * (bphi * k - bz * m * s)) / delta
+rf12 = kappa_t_sq * r * r / delta
+rf21 = -(delta + bphi_sq * s * s * (bphi_sq * kappa_t_sq - 4.0 * k_bz * kb) / delta)"""
+_RATIOS = {form: _function("ratios", "r, " + form[0], form[1], "rf11, rf12, rf21, singular")
+           for form in (_HYDRO, _LAURENT, _GENERAL)}
+_compiled = functools.cache(_function)  # for sources without names
+
+
 def _segment_form(seg: ProfileSegment, gamma: float, m: int, k: float):
-    """(factors, ratios) of one segment at mode (m, k), in the forms the
-    module docstring lists: ``factors(omega)`` builds the r-independent
-    factors of a leg, ``ratios(r, *factors)`` gives (rf11, rf12, rf21,
-    singular) at a radius, for numpy scalars or lane arrays alike."""
+    """(factors, constants, form) of one segment at mode (m, k), in the
+    forms the module docstring lists: ``factors(omega)`` builds the
+    r-independent factors of a leg, which with the constants are the
+    parameters of the form's source."""
     rho, v0, bz, bc, big_i = seg.rho0, seg.V0, seg.B0z, seg.b_phi_const, seg.b_phi_over_r
     cold, cs_sq = seg.P0 == 0.0, gamma * seg.P0 / rho
     kv, k_sq, m_sq = k * v0, k * k, m * m
@@ -135,10 +185,8 @@ def _segment_form(seg: ProfileSegment, gamma: float, m: int, k: float):
             w_sq, delta, scale = flow(omega)
             return (w_sq / cs_sq - k_sq) / delta, -m_sq / delta, -delta, abs(delta) <= 1e-30 * scale
 
-        def ratios(r, a, b, rf21, singular):
-            return 0.0, a * r * r + b, rf21, (singular != 0) | (r == 0.0)
-
-    elif cold and not (bz or bc or m) and big_i:  # Laurent polynomials in r
+        return factors, (), _HYDRO
+    if cold and not (bz or bc or m) and big_i:  # Laurent polynomials in r
         i_sq = big_i * big_i
 
         def factors(omega):
@@ -146,71 +194,59 @@ def _segment_form(seg: ProfileSegment, gamma: float, m: int, k: float):
             c = k_sq / delta
             return -c * i_sq, -c, -delta, c * i_sq * i_sq, abs(delta) <= 1e-30 * scale
 
-        def ratios(r, a11, a12, a21, b21, singular):
-            r_sq = r * r
-            s_sq = 1.0 / r_sq
-            return (-1.0 + a11 * s_sq, r_sq * (r_sq / i_sq + a12),
-                    a21 + s_sq * s_sq * (b21 * s_sq - i_sq), singular != 0)
-
-    else:
-        factors, k_bz, bz_sq, rho_cs_sq = flow, k * bz, bz * bz, rho * cs_sq
-
-        def ratios(r, w_sq, rho_w, scale):
-            s = 1.0 / r
-            bphi = bc + big_i * s
-            kb = k_bz + m * s * bphi  # k_co . B0
-            kb_sq = kb * kb
-            delta = rho_w - kb_sq
-            singular = abs(delta) <= 1e-30 * (scale + kb_sq)
-            b_sq = bz_sq + bphi * bphi
-            if cold:  # the sound-speed factors cancel algebraically
-                singular = singular | (b_sq == 0.0)
-                kappa_t_sq = rho_w / b_sq - (k_sq + m_sq * s * s)
-            else:
-                den = (rho_cs_sq + b_sq) * w_sq - cs_sq * kb_sq
-                den_scale = abs((rho_cs_sq + b_sq) * w_sq) + cs_sq * kb_sq + 1e-300
-                singular = singular | (abs(den) <= 1e-30 * den_scale)
-                kappa_t_sq = rho_w * w_sq / den - (k_sq + m_sq * s * s)
-            bphi_sq = bphi * bphi
-            return (-(bphi_sq * kappa_t_sq + 2.0 * bphi * k * (bphi * k - bz * m * s)) / delta,
-                    kappa_t_sq * r * r / delta,
-                    -(delta + bphi_sq * s * s * (bphi_sq * kappa_t_sq - 4.0 * k_bz * kb) / delta),
-                    singular)
-
-    return factors, ratios
+        return factors, (i_sq,), _LAURENT
+    consts = k, m, bz, bc, big_i, k * bz, k_sq, m_sq, bz * bz, cold, cs_sq, rho * cs_sq
+    return flow, consts, _GENERAL
 
 
 def _leg_ratios(eq: MhdEquilibrium, m: int, k: float, lo: float, hi: float):
     """(params, ratios) of `_segment_form` over the radii between lo and
-    hi.  ``params(omega)`` gives the factors as Python scalars for one
-    omega, or as (k, n) rows for lane omegas; a vanishing denominator makes
-    them inf or NaN with a true singular flag, not an error.  A span that
-    meets several segments takes, for one omega, a factor tuple per
-    segment, and ``ratios`` picks that of each radius; lane omegas raise
-    ValueError there, since a lane leg lies in one segment."""
+    hi.  ``params(omega)`` gives the factors and constants as Python
+    scalars for one omega, or the factors as (k, n) rows for lane omegas
+    (``ratios`` has the constants as defaults); a vanishing denominator
+    makes them inf or NaN with a true singular flag, not an error.  A span
+    that meets several segments takes, for one omega, a tuple per segment,
+    and ``ratios`` picks that of each radius (lane omegas raise ValueError
+    there: a lane leg lies in one segment); else ``ratios.form`` is set."""
     lo, hi = min(lo, hi), max(lo, hi)
     first, last = bisect.bisect_right(eq.interfaces, lo), bisect.bisect_right(eq.interfaces, hi)
     forms = [_segment_form(seg, eq.gamma, m, k) for seg in eq.segments[first:last + 1]]
     edges = eq.interfaces[first:last]
+    bound = [types.FunctionType(_RATIOS[form].__code__, _RATIOS[form].__globals__, "ratios",
+                                consts) for _, consts, form in forms]
 
     def params(omega):
         if np.ndim(omega) and edges:
             raise ValueError(f"a lane leg lies in one segment; ({lo}, {hi}) crosses r={edges[0]}")
         with np.errstate(all="ignore"):
-            parts = [factors(np.asarray(omega, dtype=complex)) for factors, _ in forms]
+            parts = [factors(np.asarray(omega, dtype=complex)) for factors, _, _ in forms]
         if np.ndim(omega):
             return np.array(parts[0], dtype=complex)
-        parts = [tuple(np.asarray(v).item() for v in part) for part in parts]
+        parts = [tuple(np.asarray(v).item() for v in part) + consts
+                 for part, (_, consts, _) in zip(parts, forms)]
         return tuple(parts) if edges else parts[0]
 
     if not edges:
-        return params, forms[0][1]
+        bound[0].form = forms[0][2]
+        return params, bound[0]
 
     def ratios(r, *parts):
         i = bisect.bisect_right(edges, r)
-        return forms[i][1](r, *parts[i])
+        return bound[i](r, *parts[i])
 
     return params, ratios
+
+
+_LEG = """\
+{head}
+r = {r}
+try:
+{ratios}
+except ZeroDivisionError:
+    singular = True
+if singular:
+    raise SingularSurface(f"a continuous-spectrum denominator vanishes at r={{r}}")
+{tail}"""
 
 
 def _leg_system(eq: MhdEquilibrium, m: int, k: float, lo: float, hi: float,
@@ -220,25 +256,27 @@ def _leg_system(eq: MhdEquilibrium, m: int, k: float, lo: float, hi: float,
     hi, or with ``ln_r`` r dy/dr = body(1, ...) over s = ln r, whose
     parameter is ``params(omega)`` of `_leg_ratios`, and params.  The
     scalar rhs raises SingularSurface on resonance; the lane form, from
-    ``lane_body``, marks those lanes."""
+    ``lane_body``, marks those lanes.  The rhs is `_LEG`, staged with the
+    ratio form and body inlined where the body has source (reading y4, y3)."""
     params, ratios = _leg_ratios(eq, m, k, lo, hi)
-
-    def rhs(x, y, f):
-        r = math.exp(x) if ln_r else x
-        try:
-            rf11, rf12, rf21, singular = ratios(r, *f)
-        except ZeroDivisionError:
-            singular = True
-        if singular:
-            raise SingularSurface(f"a continuous-spectrum denominator vanishes at r={r}")
-        return body(1.0 if ln_r else r, y, rf11, rf12, rf21)
+    form, source = getattr(ratios, "form", None), getattr(body, "source", None)
+    inline, body_r = form and source, "1.0" if ln_r else "r"
+    text = _LEG.format(
+        head=f"{form[0]} = lam\nexp = cmath.exp\n" if inline else "",
+        r="math.exp(t)" if ln_r else "t",
+        ratios=textwrap.indent(form[1] if inline else
+                               "rf11, rf12, rf21, singular = ratios(r, *lam)", "    "),
+        tail=f"r, y4, y3 = {body_r}, u0, u1\n{source}" if inline else
+        f"dy = body({body_r}, u, rf11, rf12, rf21)")
+    rhs = (_compiled("rhs", "t, u, lam", "u0, u1 = u[0], u[1]\n" + text, "dy") if inline else
+           _function("rhs", "t, u, lam", text, "dy", ratios=ratios, body=body))
 
     def lanes(x, y, rows):
         r = np.exp(x) if ln_r else x
         rf11, rf12, rf21, singular = ratios(r, *rows)
         return np.array(lane_body(1.0 if ln_r else r, y, rf11, rf12, rf21)), singular
 
-    return OdeSystem(dimension, rhs, lanes if lane_body else None), params
+    return OdeSystem(dimension, rhs, lanes if lane_body else None, text if inline else None), params
 
 
 def _omega_system(eq: MhdEquilibrium, m: int, k: float, dimension: int, body) -> OdeSystem:
@@ -253,31 +291,27 @@ def y_riccati_system(eq: MhdEquilibrium, m: int, k: float) -> OdeSystem:
         (rf21 * y[0] * y[0] - 2.0 * rf11 * y[0] - rf12) / r,))
 
 
-def y1_phi_system_rhs(
-    r: float, state: Sequence[complex], rf11: complex, rf12: complex, rf21: complex
-) -> tuple[complex, complex, complex]:
-    """Right side of the y1 Schwarzian Phi system; state = (Y4, Y3, Phi1).
-
-    Reconstruction: 1/Y = Y4 - Y3 cot((Phi1 + C)/2).
-    """
-    y4, y3 = state[0], state[1]
-    diff = -2.0 * rf11  # rf22 - rf11
-    return ((-rf21 - diff * y4 + (y4 * y4 - y3 * y3) * rf12) / r,
-            (2.0 * y3 * y4 * rf12 + 2.0 * rf11 * y3) / r, 2.0 * y3 * rf12 / r)
+def _body(name: str, args: str, source: str, doc: str) -> Callable:
+    """A y1 body from its ``source``: statements that read r, y4 and y3 (Y4
+    and Y3), the ratios and exp and assign dy."""
+    body = _function(name, "r, state, rf11, rf12, rf21" + args,
+                     "y4, y3 = state[0], state[1]\n" + source, "dy")
+    body.source, body.__doc__ = source, doc
+    return body
 
 
-def y1_g_system_rhs(
-    r: float, state: Sequence[complex], rf11: complex, rf12: complex, rf21: complex,
-    exp=cmath.exp,
-) -> tuple[complex, complex, complex]:
-    """Right side of the y1 Schwarzian g system; state = (Y4, Y3, g1).
-
-    Reconstruction: 1/Y = Y4 - e^{-2 Y3} / (g1 + C2/C1); lanes pass np.exp.
-    """
-    y4, y3 = state[0], state[1]
-    diff = -2.0 * rf11  # rf22 - rf11
-    return ((-rf21 - diff * y4 + rf12 * y4 * y4) / r, (-y4 * rf12 + 0.5 * diff) / r,
-            rf12 * exp(-2.0 * y3) / r)
+y1_phi_system_rhs = _body("y1_phi_system_rhs", "", """\
+diff = -2.0 * rf11  # rf22 - rf11
+dy = ((-rf21 - diff * y4 + (y4 * y4 - y3 * y3) * rf12) / r,
+      (2.0 * y3 * y4 * rf12 + 2.0 * rf11 * y3) / r, 2.0 * y3 * rf12 / r)""",
+                          """Right side of the y1 Schwarzian Phi system; state = (Y4, Y3, Phi1).
+    Reconstruction: 1/Y = Y4 - Y3 cot((Phi1 + C)/2).""")
+y1_g_system_rhs = _body("y1_g_system_rhs", ", exp=cmath.exp", """\
+diff = -2.0 * rf11  # rf22 - rf11
+dy = ((-rf21 - diff * y4 + rf12 * y4 * y4) / r, (-y4 * rf12 + 0.5 * diff) / r,
+      rf12 * exp(-2.0 * y3) / r)""",
+                        """Right side of the y1 Schwarzian g system; state = (Y4, Y3, g1).
+    Reconstruction: 1/Y = Y4 - e^{-2 Y3} / (g1 + C2/C1); lanes pass np.exp.""")
 
 
 def _y1_body(approach: Approach):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -271,11 +272,11 @@ def spectral_web(
 ) -> SpectralWeb:
     """Build the phase map and detect root/pole charges.
 
-    The samples split into ``workers`` contiguous chunks, one process each
-    (this one for a single chunk), evaluated by ``qf.lanes(samples) ->
-    (values, failure kinds)`` when qf offers that lane-batched form, else
-    one qf call each.  A failed sample records the name of its error, or
-    NonFiniteValue for a NaN or infinite value returned without one.
+    The samples split into ``workers`` contiguous chunks, at most one per
+    CPU, one process each (this one for a single chunk), evaluated by
+    ``qf.lanes(samples) -> (values, failure kinds)`` when qf offers it,
+    else one qf call each.  A failed sample records the name of its error,
+    or NonFiniteValue for a NaN or infinite value returned without one.
 
     A plaquette is charged when the wrapped phase differences around its
     four edges do not cancel (|sum| > pi); adjacent charged plaquettes of
@@ -288,7 +289,7 @@ def spectral_web(
     re = np.linspace(region[0], region[1], nx)
     im = np.linspace(region[2], region[3], ny)
     ww = (re[:, None] + 1j * im[None, :]).ravel()
-    chunks = np.array_split(ww, max(1, min(workers, ww.size)))
+    chunks = np.array_split(ww, max(1, min(workers, os.cpu_count() or 1, ww.size)))
     if len(chunks) == 1:
         parts = [_eval_chunk(qf, ww)]
     else:

@@ -231,6 +231,30 @@ def test_cli_refuses_a_non_numeric_param(argv, capsys):
     assert _refused(argv, capsys)
 
 
+@pytest.mark.parametrize("config", ["missing.json", "."])
+def test_cli_unreadable_config_is_one_error_line(config, tmp_path, monkeypatch, capsys):
+    # a missing file and a directory, not a traceback
+    monkeypatch.chdir(tmp_path)
+    assert _refused(["--config", config, "solve", "--problem", "harmonic"], capsys)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--scan-out"])
+def test_cli_output_in_a_missing_directory_is_refused_before_solving(flag, tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.csv"
+    assert _refused(["solve", "--problem", "harmonic", "--range", "0,3", "--samples", "12",
+                     flag, str(out)], capsys)
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("argv", [
+    ["web", "--region", "2,4,1,3", "--grid", "8x8", "--no-refine"],
+    ["dispersion", "--kgrid", "2,3,2", "--region", "2,4,1,3", "--grid", "8x8"],
+])
+def test_cli_refuses_fewer_than_one_thread(argv, threads, capsys):
+    assert _refused(argv + ["--problem", "cohn", "--threads", threads], capsys)
+
+
 def test_cli_config_string_takes_its_flag_type(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"samples": "30", "range": "0,3"}))

@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import functools
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 import schwarzian_sl as s
 from schwarzian_sl import mhd
+from schwarzian_sl.cli import main
 from schwarzian_sl.schwarzian import Approach
 
 from conftest import (
@@ -605,3 +608,102 @@ def test_factored_ratios_singular_where_direct_formula_is(eq, which, m, omega, r
     assert singular.tolist() == [True]
     # a nudge off the surface is regular again
     assert _factored(equilibrium, m, K, omega + 1e-3j, r + 1e-3) is not None
+
+
+# ------------------------------------------------------------ staged legs
+
+
+def _same(a, b):
+    """Two trajectories agree bit for bit."""
+    assert a.stop_reason is b.stop_reason
+    assert a.terminal == b.terminal
+    assert a.xs.tobytes() == b.xs.tobytes() and a.ys.tobytes() == b.ys.tobytes()
+
+
+def _both_forms(sys, x0, x1, launch, lam, tol=s.Tolerances()):
+    """The leg in s = ln r with its stage inlined, then calling its rhs."""
+    return [s.integrate(system, math.log(x0), math.log(x1), launch, lam, tol)
+            for system in (sys, s.OdeSystem(sys.dimension, sys.rhs))]
+
+
+# the hydrodynamic jet and the cold Laurent envelope of the Cohn jet at m = 0,
+# its envelope in the general cold form at m = 1, and the warm magnetized
+# layer of MIXED, each reached by both legs of `mhd._legs`
+@pytest.mark.parametrize("which, m, cuts", [
+    ("cohn", 0, mhd.DEFAULT_CUTS), ("cohn", 1, mhd.DEFAULT_CUTS), ("mixed", 1, (0.01, 1.9))])
+@pytest.mark.parametrize("approach", [Approach.G, Approach.PHI])
+def test_staged_legs_match_their_rhs_bit_for_bit(eq, which, m, cuts, approach):
+    equilibrium = eq if which == "cohn" else MIXED
+    launch, legs = mhd._legs(equilibrium, m, K, approach, None, cuts)
+    for x0, x1, sys, params in legs:
+        assert sys.stage is not None
+        _same(*_both_forms(sys, x0, x1, launch, params(OMEGA)))
+        # a leg that runs out of steps stalls at the same state
+        staged, plain = _both_forms(sys, x0, x1, launch, params(OMEGA), s.Tolerances(max_steps=5))
+        assert staged.stop_reason is s.StopReason.STEP_FAILURE
+        _same(staged, plain)
+
+
+def test_staged_legs_meet_the_alfven_radius_as_their_rhs_does():
+    # in the cold envelope of MIXED at m = 1 and omega = 0.5 the Alfven
+    # radius is r = 2: toward it the Phi leg's last step ends on it and
+    # raises SingularSurface there, and the g leg stalls short of it, in
+    # both forms alike
+    sys, params = mhd._leg_system(MIXED, 1, K, 3.0, 2.0, 3, s.y1_phi_system_rhs, ln_r=True)
+    errors = []
+    for system in (sys, s.OdeSystem(3, sys.rhs)):
+        with pytest.raises(s.SingularSurface) as info:
+            s.integrate(system, math.log(3.0), math.log(2.0), mhd.DEFAULT_PHI_LAUNCH,
+                        params(0.5 + 0j))
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] and errors[0].endswith("at r=2.0")
+    sys, params = mhd._leg_system(MIXED, 1, K, 3.0, 2.0, 3, s.y1_g_system_rhs, ln_r=True)
+    staged, plain = _both_forms(sys, 3.0, 2.0, mhd.DEFAULT_G_LAUNCH, params(0.5 + 0j))
+    assert staged.stop_reason is s.StopReason.STEP_FAILURE and staged.x_end > math.log(2.0)
+    _same(staged, plain)
+
+
+def test_dispersion_compiles_the_same_attempts_for_any_k_count(cohn_model):
+    # k and the model reach a staged attempt as parameters, not as text: the
+    # hydrodynamic and the Laurent stage and the lanes' attempt
+    engine = importlib.import_module("schwarzian_sl.integrate")
+    qf = s.JetQuantizationFunction(cohn_model, 0, K, rel_tol=1e-6, abs_tol=1e-9)
+    sizes = []
+    for n in (3, 9):
+        engine._attempt.cache_clear()
+        s.dispersion_scan(lambda k: dataclasses.replace(qf, k=float(k)),
+                          np.linspace(2.0, 4.0, n), (0.05, 3.0, 0.05, 2.0), 12, 12)
+        sizes.append(engine._attempt.cache_info().currsize)
+    assert sizes == [3, 3]
+
+
+def test_seed_401_dispersion_work(monkeypatch, capsys):
+    # the perfbench jet-dispersion command at seed 401 makes 186 quantization
+    # calls and 19,482 scalar DOP853 attempts; lane attempts have array x
+    engine = importlib.import_module("schwarzian_sl.integrate")
+    generate, attempts, calls = engine._attempt, 0, 0
+
+    def counted(dim, *stage):
+        attempt = generate(dim, *stage)
+
+        def counted_attempt(*args):
+            nonlocal attempts
+            attempts += isinstance(args[1], float)
+            return attempt(*args)
+
+        return counted_attempt
+
+    call = s.JetQuantizationFunction.__call__
+
+    def counted_call(qf, omega):
+        nonlocal calls
+        calls += 1
+        return call(qf, omega)
+
+    monkeypatch.setattr(engine, "_attempt", counted)
+    monkeypatch.setattr(s.JetQuantizationFunction, "__call__", counted_call)
+    assert main(["dispersion", "--problem", "cohn", "--threads", "1", "--rel", "1e-8",
+                 "--kgrid", "0.524884320460755,8.024884320460755,76",
+                 "--region", "0.1073487641886764,3.0573487641886765,"
+                 "0.12302199706982518,2.073021997069825", "--grid", "12x12"]) == 0
+    assert (calls, attempts) == (186, 19482)

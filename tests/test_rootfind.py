@@ -1,4 +1,5 @@
 import copy
+import importlib
 import math
 import pickle
 
@@ -160,6 +161,34 @@ def test_spectral_web_non_finite_sample_is_a_failure(workers):
         assert web.failures == [(w, "NonFiniteValue") for w in near]
         assert np.isnan(web.psi).sum() == 4
         assert [c.winding for c in web.charges] == [1]
+
+
+def test_spectral_web_starts_at_most_one_process_per_cpu(monkeypatch):
+    # a stub pool records its size and maps the chunks here; Psi does not
+    # depend on how many chunks the samples split into
+    rootfind = importlib.import_module("schwarzian_sl.rootfind")
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(rootfind, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(rootfind.os, "cpu_count", lambda: 3)
+    qf = lambda w: w - (3.5 + 3.5j)
+    one = s.spectral_web(qf, (0, 7, 0, 7), 12, 12)
+    many = s.spectral_web(qf, (0, 7, 0, 7), 12, 12, workers=5000)
+    assert sizes == [3]
+    assert np.array_equal(one.psi, many.psi)
 
 
 def test_refine_complex_root_exact_seed():
