@@ -95,7 +95,6 @@ from .catalog import (
     morse,
     morse_eigenvalues,
     paine,
-    problem_from_json,
 )
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -249,57 +249,3 @@ def get_entry(name: str) -> CatalogEntry:
         raise KeyError(
             f"unknown problem {name!r}; known: {', '.join(sorted(CATALOG))}"
         ) from None
-
-
-def _parse_f_bc(value: Any) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(value[0], value[1])
-    return complex(value)
-
-
-def problem_from_json(doc: dict[str, Any]) -> Any:
-    """Build a catalog problem from a JSON document.
-
-    Recognized fields: label, problem {name, parameters}, and for SL
-    problems optional domain {lower, upper, start, cuts} and boundaries
-    [{kind, f_bc}, ...] overriding the catalog defaults.  Coefficient
-    functions themselves are code-level only.
-    """
-    spec = doc.get("problem")
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ValueError("document needs a 'problem' object with a 'name'")
-    entry = get_entry(spec["name"])
-    built = entry.build(**spec.get("parameters", {}))
-    if entry.kind != "sl":
-        return built
-    problem: SLProblem = built
-    if "domain" in doc:
-        d = doc["domain"]
-        cuts = d.get("cuts", (problem.domain.lower_cut, problem.domain.upper_cut))
-        problem = replace(
-            problem,
-            domain=Domain(
-                lower=float(d.get("lower", problem.domain.lower)),
-                upper=float(d.get("upper", problem.domain.upper)),
-                start=float(d.get("start", problem.domain.start)),
-                lower_cut=float(cuts[0]),
-                upper_cut=float(cuts[1]),
-                radial=bool(d.get("radial", problem.domain.radial)),
-            ),
-        )
-    if "boundaries" in doc:
-        specs = []
-        for b in doc["boundaries"]:
-            kind = b["kind"].lower()
-            if kind == "quantization":
-                specs.append(BoundarySpec.quantization())
-            elif kind in ("ratio", "ratiovalue"):
-                specs.append(BoundarySpec.ratio(_parse_f_bc(b["f_bc"])))
-            else:
-                raise ValueError(f"unknown boundary kind {b['kind']!r}")
-        if len(specs) != 2:
-            raise ValueError("exactly two boundary specs are required")
-        problem = replace(problem, boundaries=(specs[0], specs[1]))
-    if "label" in doc:
-        problem = replace(problem, label=str(doc["label"]))
-    return problem

@@ -38,6 +38,7 @@ import cmath
 import functools
 import math
 import textwrap
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -229,6 +230,8 @@ def _attempt(dim: int, stage: str | None = None) -> Callable:
     skipped; its source is ``attempt.source``.  A ``stage`` is inlined at
     every evaluation instead (rhs unused); it sees math, cmath and
     SingularSurface and assigns none of x, y, f, hd, x_new, lam, y_*, k*.
+    The code's file name holds dim and the CRC-32 of the stage, so that
+    profilers, which key by file, tell the staged attempts apart.
     """
     comps = range(dim)
 
@@ -259,7 +262,8 @@ def _attempt(dim: int, stage: str | None = None) -> Callable:
                  f"{tup(combo(_E3, i) for i in comps)}")
     source = "\n".join(lines) + "\n"
     namespace: dict = {"math": math, "cmath": cmath, "SingularSurface": SingularSurface}
-    exec(compile(source, f"<DOP853 attempt, dim {dim}>", "exec"), namespace)
+    tag = f", stage {zlib.crc32(stage.encode()):08x}" if stage else ""
+    exec(compile(source, f"<DOP853 attempt, dim {dim}{tag}>", "exec"), namespace)
     attempt = namespace["attempt"]
     attempt.source = source
     return attempt

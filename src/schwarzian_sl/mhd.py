@@ -26,9 +26,11 @@ k^2 I^2/(delta r^2), rf12 = r^4/I^2 - k^2 r^2/delta, rf21 = -delta -
 I^2/r^4 + k^2 I^4/(delta r^6); there delta is constant, so the singular
 test runs once per leg.  Other segments use the full form, with the test
 (the Alfven radius at m != 0 among others) at every stage.  Each form and
-each y1 body is written once, as source, which the scalar and lane rhs and
-``y1_*_system_rhs`` run and a jet leg in one segment inlines into every
-stage of its DOP853 attempt (`OdeSystem.stage`).
+each body is written once, as source, which the lane rhs and
+``y1_*_system_rhs`` run.  A leg lies in one segment and inlines its form
+and body into its scalar rhs and, as a jet leg, into every stage of its
+DOP853 attempt (`OdeSystem.stage`); `y1_system` and `y_riccati_system`
+take each radius to its own segment's leg.
 
 The jet legs run in s = ln r, where the axis, a regular singular point,
 does not force the steps to shrink like r: their rhs is r dy/dr, the
@@ -98,6 +100,10 @@ class MhdEquilibrium:
         edges = [s.lo for s in self.segments]
         if edges != sorted(edges):
             raise ValueError("segments must be sorted by lower edge")
+        for seg, after in zip(self.segments, self.segments[1:]):
+            if seg.hi != after.lo:
+                raise ValueError(f"segment [{seg.lo}, {seg.hi}] must end where the next "
+                                 f"begins, at {after.lo}")
 
     @property
     def interfaces(self) -> tuple[float, ...]:
@@ -110,21 +116,24 @@ class MhdEquilibrium:
     def from_dict(doc: dict) -> "MhdEquilibrium":
         """Load piecewise profiles from a JSON-style document.
 
-        Segment edges may be the strings "inf"/"-inf"; B0phi segments are
+        Segment edges may be the strings "inf"/"-inf"; a missing "hi" is
+        the next segment's "lo" (inf for the last).  B0phi segments are
         constant plus a 1/r part.
         """
+        los = [float(s["lo"]) for s in doc["segments"]]
         segments = tuple(
-            ProfileSegment(float(s["lo"]), float(s.get("hi", math.inf)), float(s["rho0"]),
+            ProfileSegment(lo, float(s.get("hi", hi)), float(s["rho0"]),
                            *(float(s.get(key, 0.0)) for key in _PROFILE_KEYS))
-            for s in doc["segments"]
+            for s, lo, hi in zip(doc["segments"], los, los[1:] + [math.inf])
         )
         return MhdEquilibrium(segments=segments, gamma=float(doc.get("gamma", 5.0 / 3.0)))
 
 
-def _function(name: str, args: str, source: str, result: str, **names) -> Callable:
+@functools.cache
+def _function(name: str, args: str, source: str, result: str) -> Callable:
     """``def name(args)`` that runs the statements ``source`` and returns
-    ``result``, with this module's globals and ``names`` in scope."""
-    namespace = {**globals(), **names}
+    ``result``, with this module's globals in scope, compiled once per text."""
+    namespace = dict(globals())
     text = f"def {name}({args}):\n{textwrap.indent(source, '    ')}\n    return {result}\n"
     exec(compile(text, f"<{name}>", "exec"), namespace)
     return namespace[name]
@@ -163,7 +172,6 @@ rf12 = kappa_t_sq * r * r / delta
 rf21 = -(delta + bphi_sq * s * s * (bphi_sq * kappa_t_sq - 4.0 * k_bz * kb) / delta)"""
 _RATIOS = {form: _function("ratios", "r, " + form[0], form[1], "rf11, rf12, rf21, singular")
            for form in (_HYDRO, _LAURENT, _GENERAL)}
-_compiled = functools.cache(_function)  # for sources without names
 
 
 def _segment_form(seg: ProfileSegment, gamma: float, m: int, k: float):
@@ -201,38 +209,27 @@ def _segment_form(seg: ProfileSegment, gamma: float, m: int, k: float):
 
 def _leg_ratios(eq: MhdEquilibrium, m: int, k: float, lo: float, hi: float):
     """(params, ratios) of `_segment_form` over the radii between lo and
-    hi.  ``params(omega)`` gives the factors and constants as Python
-    scalars for one omega, or the factors as (k, n) rows for lane omegas
-    (``ratios`` has the constants as defaults); a vanishing denominator
-    makes them inf or NaN with a true singular flag, not an error.  A span
-    that meets several segments takes, for one omega, a tuple per segment,
-    and ``ratios`` picks that of each radius (lane omegas raise ValueError
-    there: a lane leg lies in one segment); else ``ratios.form`` is set."""
+    hi, which lie in one segment: a span that crosses an interface raises
+    ValueError.  ``params(omega)`` gives the factors and constants as
+    Python scalars for one omega, or the factors as (k, n) rows for lane
+    omegas (``ratios`` has the constants as defaults); a vanishing
+    denominator makes them inf or NaN with a true singular flag, not an
+    error.  ``ratios.form`` is the segment's form."""
     lo, hi = min(lo, hi), max(lo, hi)
-    first, last = bisect.bisect_right(eq.interfaces, lo), bisect.bisect_right(eq.interfaces, hi)
-    forms = [_segment_form(seg, eq.gamma, m, k) for seg in eq.segments[first:last + 1]]
-    edges = eq.interfaces[first:last]
-    bound = [types.FunctionType(_RATIOS[form].__code__, _RATIOS[form].__globals__, "ratios",
-                                consts) for _, consts, form in forms]
+    i = bisect.bisect_right(eq.interfaces, lo)
+    if bisect.bisect_right(eq.interfaces, hi) != i:
+        raise ValueError(f"a leg lies in one segment; ({lo}, {hi}) crosses r={eq.interfaces[i]}")
+    factors, consts, form = _segment_form(eq.segments[i], eq.gamma, m, k)
+    ratios = types.FunctionType(_RATIOS[form].__code__, _RATIOS[form].__globals__, "ratios",
+                                consts)
+    ratios.form = form
 
     def params(omega):
-        if np.ndim(omega) and edges:
-            raise ValueError(f"a lane leg lies in one segment; ({lo}, {hi}) crosses r={edges[0]}")
         with np.errstate(all="ignore"):
-            parts = [factors(np.asarray(omega, dtype=complex)) for factors, _, _ in forms]
+            part = factors(np.asarray(omega, dtype=complex))
         if np.ndim(omega):
-            return np.array(parts[0], dtype=complex)
-        parts = [tuple(np.asarray(v).item() for v in part) + consts
-                 for part, (_, consts, _) in zip(parts, forms)]
-        return tuple(parts) if edges else parts[0]
-
-    if not edges:
-        bound[0].form = forms[0][2]
-        return params, bound[0]
-
-    def ratios(r, *parts):
-        i = bisect.bisect_right(edges, r)
-        return bound[i](r, *parts[i])
+            return np.array(part, dtype=complex)
+        return tuple(np.asarray(v).item() for v in part) + consts
 
     return params, ratios
 
@@ -253,60 +250,67 @@ def _leg_system(eq: MhdEquilibrium, m: int, k: float, lo: float, hi: float,
                 dimension: int, body, lane_body=None, ln_r: bool = False
                 ) -> tuple[OdeSystem, Callable]:
     """dy/dr = body(r, y, rf11, rf12, rf21) over the radii between lo and
-    hi, or with ``ln_r`` r dy/dr = body(1, ...) over s = ln r, whose
-    parameter is ``params(omega)`` of `_leg_ratios`, and params.  The
-    scalar rhs raises SingularSurface on resonance; the lane form, from
+    hi, in one segment, or with ``ln_r`` r dy/dr = body(1, ...) over s =
+    ln r, whose parameter is ``params(omega)`` of `_leg_ratios`, and params.
+    The scalar rhs raises SingularSurface on resonance; the lane form, from
     ``lane_body``, marks those lanes.  The rhs is `_LEG`, staged with the
-    ratio form and body inlined where the body has source (reading y4, y3)."""
+    segment's ratio form and the body's source inlined."""
     params, ratios = _leg_ratios(eq, m, k, lo, hi)
-    form, source = getattr(ratios, "form", None), getattr(body, "source", None)
-    inline, body_r = form and source, "1.0" if ln_r else "r"
+    us = ", ".join(f"u{i}" for i in range(body.state.count(",") + 1))
     text = _LEG.format(
-        head=f"{form[0]} = lam\nexp = cmath.exp\n" if inline else "",
-        r="math.exp(t)" if ln_r else "t",
-        ratios=textwrap.indent(form[1] if inline else
-                               "rf11, rf12, rf21, singular = ratios(r, *lam)", "    "),
-        tail=f"r, y4, y3 = {body_r}, u0, u1\n{source}" if inline else
-        f"dy = body({body_r}, u, rf11, rf12, rf21)")
-    rhs = (_compiled("rhs", "t, u, lam", "u0, u1 = u[0], u[1]\n" + text, "dy") if inline else
-           _function("rhs", "t, u, lam", text, "dy", ratios=ratios, body=body))
+        head=f"{ratios.form[0]} = lam\nexp = cmath.exp\n", r="math.exp(t)" if ln_r else "t",
+        ratios=textwrap.indent(ratios.form[1], "    "),
+        tail=f"r, {body.state} = {'1.0' if ln_r else 'r'}, {us}\n{body.source}")
+    rhs = _function("rhs", "t, u, lam", f"{us}, *_ = u\n" + text, "dy")
 
     def lanes(x, y, rows):
         r = np.exp(x) if ln_r else x
         rf11, rf12, rf21, singular = ratios(r, *rows)
         return np.array(lane_body(1.0 if ln_r else r, y, rf11, rf12, rf21)), singular
 
-    return OdeSystem(dimension, rhs, lanes if lane_body else None, text if inline else None), params
+    return OdeSystem(dimension, rhs, lanes if lane_body else None, text), params
 
 
 def _omega_system(eq: MhdEquilibrium, m: int, k: float, dimension: int, body) -> OdeSystem:
-    """`_leg_system` over all radii, with omega as its parameter."""
-    leg, params = _leg_system(eq, m, k, -math.inf, math.inf, dimension, body)
-    params = functools.lru_cache(maxsize=1)(params)
-    return OdeSystem(dimension, lambda r, y, omega: leg.rhs(r, y, params(omega)))
+    """The `_leg_system` rhs of each segment (built at its lower edge, which
+    lies in it) at the radii of that segment, with omega as the parameter."""
+    legs = [(leg.rhs, functools.lru_cache(maxsize=1)(params)) for leg, params in (
+        _leg_system(eq, m, k, seg.lo, seg.lo, dimension, body) for seg in eq.segments)]
+    interfaces = eq.interfaces
+
+    def rhs(r, y, omega):
+        leg, params = legs[bisect.bisect_right(interfaces, r)]
+        return leg(r, y, params(omega))
+
+    return OdeSystem(dimension, rhs)
 
 
-def y_riccati_system(eq: MhdEquilibrium, m: int, k: float) -> OdeSystem:
-    return _omega_system(eq, m, k, 1, lambda r, y, rf11, rf12, rf21: (
-        (rf21 * y[0] * y[0] - 2.0 * rf11 * y[0] - rf12) / r,))
-
-
-def _body(name: str, args: str, source: str, doc: str) -> Callable:
-    """A y1 body from its ``source``: statements that read r, y4 and y3 (Y4
-    and Y3), the ratios and exp and assign dy."""
+def _body(name: str, state: str, args: str, source: str, doc: str) -> Callable:
+    """A body from its ``source``: statements that read r, the leading
+    components by their ``state`` names (y4, y3 for Y4, Y3 of y1), the
+    ratios and exp and assign dy."""
     body = _function(name, "r, state, rf11, rf12, rf21" + args,
-                     "y4, y3 = state[0], state[1]\n" + source, "dy")
-    body.source, body.__doc__ = source, doc
+                     f"{state}, *_ = state\n" + source, "dy")
+    body.state, body.source, body.__doc__ = state, source, doc
     return body
 
 
-y1_phi_system_rhs = _body("y1_phi_system_rhs", "", """\
+_riccati_body = _body("y_riccati_rhs", "big_y", "", """\
+dy = ((rf21 * big_y * big_y - 2.0 * rf11 * big_y - rf12) / r,)""",
+                      "Right side of the Riccati equation for Y = y1/y2.")
+
+
+def y_riccati_system(eq: MhdEquilibrium, m: int, k: float) -> OdeSystem:
+    return _omega_system(eq, m, k, 1, _riccati_body)
+
+
+y1_phi_system_rhs = _body("y1_phi_system_rhs", "y4, y3", "", """\
 diff = -2.0 * rf11  # rf22 - rf11
 dy = ((-rf21 - diff * y4 + (y4 * y4 - y3 * y3) * rf12) / r,
       (2.0 * y3 * y4 * rf12 + 2.0 * rf11 * y3) / r, 2.0 * y3 * rf12 / r)""",
                           """Right side of the y1 Schwarzian Phi system; state = (Y4, Y3, Phi1).
     Reconstruction: 1/Y = Y4 - Y3 cot((Phi1 + C)/2).""")
-y1_g_system_rhs = _body("y1_g_system_rhs", ", exp=cmath.exp", """\
+y1_g_system_rhs = _body("y1_g_system_rhs", "y4, y3", ", exp=cmath.exp", """\
 diff = -2.0 * rf11  # rf22 - rf11
 dy = ((-rf21 - diff * y4 + rf12 * y4 * y4) / r, (-y4 * rf12 + 0.5 * diff) / r,
       rf12 * exp(-2.0 * y3) / r)""",
@@ -381,8 +385,8 @@ def jet_trajectories(
     """Integrate from the jet radius 1 toward the axis and toward infinity,
     in s = ln r; the legs report radii.
 
-    The state is continuous across interfaces (single integration with
-    piecewise coefficients).  Where r = 1 is an interface, the inward leg
+    Each leg lies in one segment: an interface between the jet radius and
+    a cut raises ValueError.  Where r = 1 is an interface, the inward leg
     starts one part in 10^9 inside it.  A leg that stalls before its cut
     raises StepFailure.
     """

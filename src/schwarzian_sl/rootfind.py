@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -293,6 +292,8 @@ def spectral_web(
     if len(chunks) == 1:
         parts = [_eval_chunk(qf, ww)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled web pays its import
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(_eval_chunk, [qf] * len(chunks), chunks))
     values = np.concatenate([p[0] for p in parts])

@@ -5,7 +5,7 @@ import pytest
 
 import schwarzian_sl as s
 from schwarzian_sl.integrate import raise_if_stalled
-from schwarzian_sl.mhd import _leg_system
+from schwarzian_sl.mhd import _leg_ratios
 
 # Reference eigenvalues of the finite-interval test problem: the converged
 # spectrum of a scaled-Pruefer shooting run with scipy DOP853 at
@@ -178,8 +178,14 @@ def segment_ratios(seg, gamma, m, k, omega, r):
 def point_ratios(eq, m, k, omega, r):
     """(rf11, rf12, rf21) of the package's per-leg form at one radius r;
     raises SingularSurface on resonance."""
-    leg, params = _leg_system(eq, m, k, r, r, 0, lambda r, y, *ratios: ratios)
-    return leg.rhs(r, (), params(omega))
+    params, ratios = _leg_ratios(eq, m, k, r, r)
+    try:  # the singular rule of a leg's rhs, `mhd._LEG`
+        *values, singular = ratios(r, *params(omega))
+    except ZeroDivisionError:
+        singular = True
+    if singular:
+        raise s.SingularSurface(f"a continuous-spectrum denominator vanishes at r={r}")
+    return tuple(values)
 
 
 def integrate_checkpoints(sys, x0, y0, checkpoints, lam=0j, tol=s.Tolerances()):

@@ -80,41 +80,6 @@ def test_targets_have_provenance():
             assert target.provenance
 
 
-def test_problem_from_json_with_overrides():
-    doc = {
-        "label": "morse-wide",
-        "problem": {"name": "morse", "parameters": {"lambda_param": 5.0}},
-        "domain": {"lower": "-inf", "upper": "inf", "start": 0.0, "cuts": [-8, 18]},
-        "boundaries": [{"kind": "quantization"}, {"kind": "quantization"}],
-    }
-    problem = s.problem_from_json(doc)
-    assert problem.label == "morse-wide"
-    assert problem.domain.lower_cut == -8.0
-    assert problem.domain.upper_cut == 18.0
-    assert s.validate(problem) == []
-
-
-def test_problem_from_json_ratio_boundary():
-    doc = {
-        "problem": {"name": "paine"},
-        "boundaries": [{"kind": "ratio", "f_bc": "inf"}, {"kind": "ratio", "f_bc": [0, 1]}],
-    }
-    problem = s.problem_from_json(doc)
-    assert problem.boundaries[1].f_bc == 1j
-
-
-def test_problem_from_json_stability_passthrough():
-    doc = {"problem": {"name": "cohn", "parameters": {"k": 1.5}}}
-    config = s.problem_from_json(doc)
-    assert isinstance(config, s.StabilityConfig)
-    assert config.k == 1.5
-
-
-def test_problem_from_json_unknown_name():
-    with pytest.raises(KeyError):
-        s.problem_from_json({"problem": {"name": "nope"}})
-
-
 def _array_and_scalar_coefficients(method, window):
     """(name, lanes, scalar) per coefficient p, q of each catalog entry that
     ``solve --method`` accepts: its values on 7 points x of ``window(domain)``

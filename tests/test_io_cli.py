@@ -625,7 +625,8 @@ def test_readme_commands_pass_the_front_end(monkeypatch):
 
 def test_cli_runs_without_scipy(tmp_path):
     # scipy is a test dependency only: a Paine solve and a small jet web
-    # in a fresh interpreter must not import it
+    # in a fresh interpreter must not import it, nor, on one thread, the
+    # process pool
     src = Path(s.__file__).resolve().parent.parent
     script = (
         "import sys\n"
@@ -635,6 +636,7 @@ def test_cli_runs_without_scipy(tmp_path):
         "assert main(['web', '--problem', 'cohn', '--region', '2,4,1,3', '--grid', '8x8',"
         " '--threads', '1', '--no-refine', '--out', sys.argv[2]]) == 0\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

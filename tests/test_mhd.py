@@ -67,6 +67,17 @@ def test_equilibrium_json_round_trip(eq):
     assert B0phi(rebuilt, 2.0) == B0phi(eq, 2.0)
 
 
+def test_equilibrium_segments_must_be_contiguous():
+    # a missing "hi" is the next segment's "lo"; a gap or an overlap is refused
+    doc = {"segments": [{"lo": 0, "rho0": 1.0, "P0": 0.6, "V0": 1.0},
+                        {"lo": 1, "rho0": 0.01, "P0": 0.0, "V0": 0.0}]}
+    assert [seg.hi for seg in s.MhdEquilibrium.from_dict(doc).segments] == [1.0, math.inf]
+    for hi in (0.5, 1.5):
+        doc["segments"][0]["hi"] = hi
+        with pytest.raises(ValueError, match="must end where the next begins"):
+            s.MhdEquilibrium.from_dict(doc)
+
+
 # ------------------------------------------------------ coefficient ratios
 
 
@@ -533,18 +544,6 @@ def test_lane_ratios_match_scalar_across_segments(eq):
             assert abs(got[j] - value) <= 1e-13 * abs(value)
 
 
-
-def test_lane_leg_across_an_interface_is_refused(eq):
-    # a lane leg lies in one segment; one omega may cross the interface,
-    # each radius taking the factors of its own segment
-    params, leg_ratios = mhd._leg_ratios(eq, 0, K, 0.05, 6.0)
-    with pytest.raises(ValueError, match="one segment"):
-        params(np.array([OMEGA, OMEGA + 1]))
-    for r in (0.5, 1.0, 3.0):
-        *got, singular = leg_ratios(r, *params(OMEGA))
-        assert not singular
-        assert got == list(point_ratios(eq, 0, K, OMEGA, r))
-
 # A hydrodynamic core, a warm magnetized layer with every field term set, and
 # a cold envelope with B0phi = I/r: one segment of each form.  Only the
 # algebra of the ratios is checked, so the profiles need not balance.
@@ -554,6 +553,30 @@ MIXED = s.MhdEquilibrium.from_dict({"gamma": 5.0 / 3.0, "segments": [
      "B0z": 0.7, "b_phi_const": 0.4, "b_phi_over_r": 0.3},
     {"lo": 2, "hi": "inf", "rho0": 0.25, "P0": 0.0, "b_phi_over_r": 1.0},
 ]})
+
+
+def _bits(values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+def test_lane_leg_across_an_interface_is_refused(eq):
+    # a leg lies in one segment, scalar or lanes alike: one that crosses an
+    # interface is refused when it is built
+    for lane_body in (None, s.y1_phi_system_rhs):
+        with pytest.raises(ValueError, match="one segment"):
+            mhd._leg_system(eq, 0, K, 0.05, 6.0, 3, s.y1_phi_system_rhs, lane_body)
+    with pytest.raises(ValueError, match="one segment"):  # scalar and lane legs
+        mhd._legs(MIXED, 1, K, Approach.G, None, (0.01, 3.0))
+    with pytest.raises(ValueError, match="one segment"):
+        s.jet_trajectories(MIXED, 1, K, OMEGA, cuts=(0.01, 3.0))
+    # y1_system takes each radius to the leg of its own segment, which is
+    # the outer one on an interface
+    state = (0.1 + 0.2j, 0.3 - 0.1j, 0.05j)
+    for approach in Approach:
+        system = s.y1_system(eq, 0, K, approach)
+        for r in (0.5, 1.0, 3.0):
+            leg, params = mhd._leg_system(eq, 0, K, r, r, 3, mhd._y1_body(approach))
+            assert _bits(system.rhs(r, state, OMEGA)) == _bits(leg.rhs(r, state, params(OMEGA)))
 
 
 def _direct(eq, m, k, omega, r):
@@ -661,6 +684,16 @@ def test_staged_legs_meet_the_alfven_radius_as_their_rhs_does():
     staged, plain = _both_forms(sys, 3.0, 2.0, mhd.DEFAULT_G_LAUNCH, params(0.5 + 0j))
     assert staged.stop_reason is s.StopReason.STEP_FAILURE and staged.x_end > math.log(2.0)
     _same(staged, plain)
+
+
+def test_staged_attempts_differ_in_file_name(eq):
+    # profilers key code by file name: the hydrodynamic and the Laurent
+    # stage of the Cohn jet at m = 0 compile under two names
+    engine = importlib.import_module("schwarzian_sl.integrate")
+    _, legs = mhd._legs(eq, 0, K, Approach.G, None, mhd.DEFAULT_CUTS)
+    names = {engine._attempt(3, sys.stage).__code__.co_filename for _, _, sys, _ in legs}
+    assert len(names) == 2
+    assert all(name.startswith("<DOP853 attempt, dim 3, stage ") for name in names)
 
 
 def test_dispersion_compiles_the_same_attempts_for_any_k_count(cohn_model):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -134,10 +135,10 @@ def test_stalled_phase_is_a_failed_scan_sample(paine_problem):
 
 
 def _paine_with_ratios(lower, upper="inf"):
-    return s.problem_from_json({
-        "problem": {"name": "paine"},
-        "boundaries": [{"kind": "ratio", "f_bc": lower}, {"kind": "ratio", "f_bc": upper}],
-    })
+    """Paine with ratio values F at both ends, each a real, "inf" or [re, im]."""
+    return dataclasses.replace(s.get_entry("paine").build(), boundaries=tuple(
+        s.BoundarySpec.ratio(complex(*f) if isinstance(f, list) else complex(f))
+        for f in (lower, upper)))
 
 
 @pytest.mark.parametrize("f_bc", ["inf", 2.0, [-0.5, 1.5], 0.0])

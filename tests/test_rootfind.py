@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import importlib
 import math
@@ -182,7 +183,7 @@ def test_spectral_web_starts_at_most_one_process_per_cpu(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(rootfind, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)  # imported per web
     monkeypatch.setattr(rootfind.os, "cpu_count", lambda: 3)
     qf = lambda w: w - (3.5 + 3.5j)
     one = s.spectral_web(qf, (0, 7, 0, 7), 12, 12)
