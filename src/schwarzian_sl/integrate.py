@@ -431,8 +431,10 @@ def integrate_lanes(
         raise ValueError("x0 and x1 must differ")
     lam = np.asarray(lam, dtype=complex)
     rhs, dim, n = sys.lanes, sys.dimension, lam.shape[-1]
-    y = np.empty((dim, n), dtype=complex)
-    y[...] = np.asarray(y0, dtype=complex).reshape(dim, -1)
+    y0 = np.asarray(y0, dtype=complex)
+    if y0.shape[:1] != (dim,):
+        raise DimensionMismatch(f"state has shape {y0.shape}, system dimension {dim}")
+    y = np.array(np.broadcast_to(y0.reshape(dim, -1), (dim, n)))
     x = np.full(n, float(x0))
     x_end, y_end, failure = x.copy(), y.copy(), np.full(n, None, dtype=object)
     direction, span = (1.0 if x1 > x0 else -1.0), abs(x1 - x0)

@@ -34,7 +34,8 @@ take each radius to its own segment's leg.
 
 The jet legs run in s = ln r, where the axis, a regular singular point,
 does not force the steps to shrink like r: their rhs is r dy/dr, the
-system's body evaluated with 1 for r.  `jet_trajectories` reports radii.
+system's body evaluated with 1 for r.  `jet_trajectories` reports radii;
+a quantization value's outward leg ends once g1 has settled (`settle_event`).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrate import (
+    DimensionMismatch,
     OdeSystem,
     SingularSurface,
     StopReason,
@@ -361,6 +363,35 @@ class CohnJetModel:
 DEFAULT_CUTS = (0.01, 10.0)
 DEFAULT_G_LAUNCH = (0j, 0j, 0j)  # (Y4, Y3, g1) at the interface
 DEFAULT_PHI_LAUNCH = (0j, 1 + 0j, 0j)  # (Y4, Y3, Phi1) at the interface
+SETTLE = 1e-13  # |step| / |value| where g1 stops resolving an increment: about 450 ulp
+
+
+def settle_event(x0: float, third0):
+    """Fires once y[2] (g1 or Phi1) has stopped moving: at an accepted step
+    that, as did the step before, moves it by at most SETTLE |y[2]|.  For a
+    launch value ``third0``, `integrate`'s ``fired(x, y)``; for an (n,) row,
+    `integrate_lanes`'s ``fired(lane, x, y)``, its state per original lane."""
+    if np.ndim(third0):
+        last_x, last = np.full(np.shape(third0), x0), np.array(third0, dtype=complex)
+        small = np.zeros(last.shape, dtype=bool)
+
+        def lanes(lane, x, y):  # |z| as np.hypot, as Python's abs(complex) is
+            step, moved = y[2] - last[lane], x != last_x[lane]  # else the step was rejected
+            now = np.hypot(step.real, step.imag) <= SETTLE * np.hypot(y[2].real, y[2].imag)
+            fired, small[lane] = moved & now & small[lane], np.where(moved, now, small[lane])
+            last_x[lane], last[lane] = x, y[2]
+            return fired
+
+        return lanes
+    last, small = complex(third0), False
+
+    def fired(x, y):
+        nonlocal last, small
+        now = abs(y[2] - last) <= SETTLE * abs(y[2])
+        settled, small, last = small and now, now, y[2]
+        return settled
+
+    return fired
 
 
 def _legs(eq: MhdEquilibrium, m: int, k: float, approach: Approach, launch, cuts):
@@ -380,10 +411,10 @@ def _legs(eq: MhdEquilibrium, m: int, k: float, approach: Approach, launch, cuts
 def jet_trajectories(
     eq: MhdEquilibrium, m: int, k: float, omega: complex, approach: Approach = Approach.G,
     launch: Sequence[complex] | None = None, cuts: tuple[float, float] = DEFAULT_CUTS,
-    tol: Tolerances = Tolerances(rel=1e-8, abs=1e-10), store_path: bool = True,
+    tol: Tolerances = Tolerances(rel=1e-8, abs=1e-10),
 ) -> tuple[Trajectory, Trajectory]:
     """Integrate from the jet radius 1 toward the axis and toward infinity,
-    in s = ln r; the legs report radii.
+    in s = ln r, each leg to its cut; the legs report radii.
 
     Each leg lies in one segment: an interface between the jet radius and
     a cut raises ValueError.  Where r = 1 is an interface, the inward leg
@@ -392,10 +423,8 @@ def jet_trajectories(
     """
     launch, legs = _legs(eq, m, k, approach, launch, cuts)
     inward, outward = (
-        _in_radii(integrate(sys, math.log(x0), math.log(x1), launch, params(omega), tol,
-                            store_path=store_path), x0, x1)
-        for x0, x1, sys, params in legs
-    )
+        _in_radii(integrate(sys, math.log(x0), math.log(x1), launch, params(omega), tol), x0, x1)
+        for x0, x1, sys, params in legs)
     raise_if_stalled(inward, outward)
     return inward, outward
 
@@ -428,17 +457,25 @@ class JetQuantizationFunction:
         if not 0.0 < self.cuts[0] < 1.0 < self.cuts[1]:
             raise ValueError(f"cuts {self.cuts} must bracket the jet radius: 0 < inner < 1 < outer")
         Tolerances(rel=self.rel_tol, abs=self.abs_tol)  # refused here, not at every omega
+        if self.launch is not None and len(self.launch) != 3:
+            raise DimensionMismatch(f"launch has length {len(self.launch)}, system dimension 3")
 
     def __call__(self, omega: complex) -> complex:
         """Quantization value between infinity and the axis.
 
-        g approach: g1(outer cut) - g1(inner cut); Phi approach:
+        g approach: g1(outer) - g1(inner cut); Phi approach:
         sin((Phi1(outer) - Phi1(inner))/2).  Roots in omega are the
-        eigenvalues.
+        eigenvalues.  The outward leg of `jet_trajectories` ends here where
+        g1 or Phi1 has stopped moving (`settle_event`), at its cut at the latest.
         """
-        inward, outward = jet_trajectories(
-            self.model.equilibrium(), self.m, self.k, omega, self.approach, self.launch,
-            self.cuts, tol=Tolerances(rel=self.rel_tol, abs=self.abs_tol), store_path=False)
+        launch, legs = _legs(self.model.equilibrium(), self.m, self.k, self.approach,
+                             self.launch, self.cuts)
+        tol = Tolerances(rel=self.rel_tol, abs=self.abs_tol)
+        inward, outward = (  # the outward leg starts at s = ln 1 = 0
+            _in_radii(integrate(sys, math.log(x0), math.log(x1), launch, params(omega), tol,
+                                event, store_path=False), x0, x1)
+            for (x0, x1, sys, params), event in zip(legs, (None, settle_event(0.0, launch[2]))))
+        raise_if_stalled(inward, outward)
         value = outward.y_end[2] - inward.y_end[2]
         if self.approach is Approach.PHI:
             return cmath.sin(value / 2.0)
@@ -447,13 +484,14 @@ class JetQuantizationFunction:
     def lanes(self, omegas: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
         """`__call__` at many omegas, each leg one lane-batched integration:
         the values (NaN where an evaluation failed) and per omega None or the
-        name of the error `__call__` raises there."""
+        name of the error `__call__` raises there; outward lanes settle as it does."""
         eq = self.model.equilibrium()
         launch, legs = _legs(eq, self.m, self.k, self.approach, self.launch, self.cuts)
         tol = Tolerances(rel=self.rel_tol, abs=self.abs_tol)
+        events = None, settle_event(0.0, np.full(np.size(omegas), complex(launch[2])))
         (_, inner, fail_in), (_, outer, fail_out) = (
-            integrate_lanes(sys, math.log(x0), math.log(x1), launch, params(omegas), tol)
-            for x0, x1, sys, params in legs)
+            integrate_lanes(sys, math.log(x0), math.log(x1), launch, params(omegas), tol, event)
+            for (x0, x1, sys, params), event in zip(legs, events))
         value = outer[2] - inner[2]
         if self.approach is Approach.PHI:
             value = np.sin(value / 2.0)

@@ -221,7 +221,7 @@ class FiniteIntervalWinding:
                 degenerate[j] = DegenerateBoundary  # its NaN start phase ends it at the launch
         zero_p = np.where((np.abs(p) < P_FLOOR).any(axis=0), ZeroCoefficient, None)
         _, y, failure = integrate_lanes(
-            phase_system(problem), d.lower, d.upper, phases[0],
+            phase_system(problem), d.lower, d.upper, phases[:1],
             np.stack([lam, kappa]), self.tol)
         # the scalar path raises a zero p at a midpoint first, then a
         # degenerate ratio value, then a zero p on the way (ZeroCoefficient),

@@ -91,6 +91,14 @@ def test_dimension_mismatch():
         s.integrate(sys, 0.0, 1.0, (0j,))
 
 
+@pytest.mark.parametrize("y0", [(0j,), np.zeros((3, 4), dtype=complex), np.zeros(4)])
+def test_lane_dimension_mismatch(y0):
+    # a launch whose first axis is not the dimension, as `integrate` refuses it
+    sys = s.OdeSystem(2, lambda x, y, lam: (0j, 0j), lambda x, y, lam: (0 * y, np.zeros(4, bool)))
+    with pytest.raises(s.DimensionMismatch):
+        s.integrate_lanes(sys, 0.0, 1.0, y0, np.zeros(4, dtype=complex))
+
+
 def test_rhs_length_checked():
     sys = s.OdeSystem(2, lambda x, y, lam: (0j,))
     with pytest.raises(s.DimensionMismatch):

@@ -449,8 +449,8 @@ def test_cli_non_finite_rhs_is_numerical_failure(monkeypatch):
 
 def test_cli_web_json_is_strict(tmp_path):
     # on the Im omega = 0 row, omega = k V0 = pi (Re index 4) lies on the
-    # singular surface, and at Re index 7 and 8 the outward leg stalls at a
-    # pole of Y4 that only real omega puts on the path
+    # singular surface; the poles of Y4 that real omega puts on the outward
+    # path (at Re index 7 and 8) lie beyond where g1 settles
     out = tmp_path / "web.json"
     code = main(
         ["web", "--problem", "cohn", "--region",
@@ -465,7 +465,7 @@ def test_cli_web_json_is_strict(tmp_path):
     doc = json.loads(out.read_text(), parse_constant=refuse)
     psi = doc["data"]["psi"]
     nulls = [i for i, value in enumerate(psi) if value is None]
-    assert len(psi) == 81 and nulls == [4 * 9, 7 * 9, 8 * 9]
+    assert len(psi) == 81 and nulls == [4 * 9]
     assert doc["meta"]["config"]["refine"] is False
 
 
