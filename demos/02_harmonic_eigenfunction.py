@@ -21,7 +21,7 @@ scan = s.scan_real(
 e0 = scan.eigenvalues[0]
 print(f"ground state eigenvalue: {e0:.10f} (exact 0.5)")
 
-low, high, _ = s.solve_asymptotic(problem, e0, Approach.PHI, tol, store_path=True)
+low, high, _ = s.solve_asymptotic(problem, e0, Approach.PHI, tol)
 constant = s.solve_constant_from_bc(
     low.y_end, complex(float("inf"), 0.0), Approach.PHI
 )

@@ -313,10 +313,11 @@ def cmd_eigenfunction(args: argparse.Namespace) -> int:
             columns += complex_columns(name, values)
         payload = {"r": samples.rs, "y1": samples.y1, "y2": samples.y2, "Y": samples.Y}
         _emit(args, meta, columns, payload)
+        print(f"{args.problem}(m={built.m}, k={built.k:g}): sampled eigenfunction at "
+              f"{eigenvalue:g} ({len(samples.rs)} points); outward leg ended at "
+              f"r = {outward.x_end:.6g} ({outward.stop_reason.value})")
         return EXIT_OK
-    low, high, _ = solve_asymptotic(
-        built, eigenvalue, approach, tol, store_path=True
-    )
+    low, high, _ = solve_asymptotic(built, eigenvalue, approach, tol)
     constant = -low.y_end[2]  # the decayed lower end: F = infinity
     xs, states = merge_legs(low, high)
     samples = eigenfunction(xs, states, constant, approach)

@@ -25,7 +25,7 @@ Stopping semantics:
 
 * ``ReachedEnd``   -- the target abscissa was reached.
 * ``EventFired``   -- a user predicate became true at an accepted step.
-* ``StepFailure``  -- the proposed step size fell below ``min_step`` or
+* ``StepFailure``  -- the proposed step size fell below ``MIN_STEP`` or
   was NaN (typically while fighting a pole of the right-hand side), or
   the step budget ran out; the last accepted state is returned, never
   NaN.  Callers that read the terminal state turn this into a
@@ -83,7 +83,6 @@ class Tolerances:
     rel: float = 1e-8
     abs: float = 1e-10
     max_steps: int = 100_000
-    min_step: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel < math.inf and 0.0 < self.abs < math.inf):
@@ -106,24 +105,24 @@ class OdeSystem:
 
 @dataclass
 class Trajectory:
-    """Accepted-step samples of one integration leg.
+    """Accepted-step samples of one integration leg, from its launch.
 
     ``xs`` is strictly monotone in the direction of integration and
-    ``ys[k]`` is the state at ``xs[k]``.
+    ``ys[k]`` is the state at ``xs[k]``; the last sample is where the leg
+    ended, for the reason ``stop_reason``.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    terminal: tuple[float, ComplexVector]
     stop_reason: StopReason
 
     @property
     def x_end(self) -> float:
-        return self.terminal[0]
+        return float(self.xs[-1])
 
     @property
     def y_end(self) -> ComplexVector:
-        return self.terminal[1]
+        return tuple(self.ys[-1].tolist())
 
 
 # DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand and Prince as
@@ -190,6 +189,7 @@ _E3 = tuple(b - bhh for b, bhh in zip(_B + (0.0,), (  # b minus dop853.f's bhh
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2  # strongest shrink per step
 _MAX_FACTOR = 10.0  # strongest growth per step
+MIN_STEP = 1e-12  # smallest step the controller may propose; below it a leg stalls
 
 _ARITHMETIC_ERRORS = (OverflowError, ZeroDivisionError, FloatingPointError)
 
@@ -308,13 +308,12 @@ def integrate(
     lam: complex = 0j,
     tol: Tolerances = Tolerances(),
     event: EventPredicate | None = None,
-    store_path: bool = True,
 ) -> Trajectory:
     """Integrate ``sys`` from x0 to x1 starting at state ``y0``.
 
     Stops early when ``event`` becomes true at an accepted step endpoint
     (no sub-step localization) or when the controller cannot keep the local
-    error within tolerance without shrinking below ``tol.min_step``.
+    error within tolerance without shrinking below ``MIN_STEP``.
     """
     if x0 == x1:
         raise ValueError("x0 and x1 must differ")
@@ -344,7 +343,7 @@ def integrate(
         steps += 1
         # The controller's proposal, before the clamp to the remaining span;
         # the negated test also stops on a NaN step.
-        if not h >= tol.min_step:
+        if not h >= MIN_STEP:
             break
         remaining = abs(x1 - x)
         last = h >= remaining
@@ -376,9 +375,8 @@ def integrate(
             x = x_new
             y = y_new
             f = tuple(k13)  # FSAL
-            if store_path:
-                xs.append(x)
-                ys.append(y)
+            xs.append(x)
+            ys.append(y)
             if event is not None and event(x, y):
                 reason = StopReason.EVENT_FIRED
                 break
@@ -387,15 +385,7 @@ def integrate(
                 break
         h = h / max(1.0 / _MAX_FACTOR, min(1.0 / _MIN_FACTOR, _root8(err) / _SAFETY))
 
-    if not store_path:
-        xs = [x0, x] if x != x0 else [x0]
-        ys = [ys[0], y] if x != x0 else [ys[0]]
-    return Trajectory(
-        xs=np.asarray(xs, dtype=float),
-        ys=np.asarray(ys, dtype=complex),
-        terminal=(x, y),
-        stop_reason=reason,
-    )
+    return Trajectory(np.asarray(xs, dtype=float), np.asarray(ys, dtype=complex), reason)
 
 
 def integrate_lanes(
@@ -463,7 +453,7 @@ def integrate_lanes(
         steps, ended = np.zeros(n, dtype=int), failure.astype(bool)
         attempt = _attempt(1)
         while True:
-            stalled = ~ended & ((steps >= tol.max_steps) | ~(h >= tol.min_step))
+            stalled = ~ended & ((steps >= tol.max_steps) | ~(h >= MIN_STEP))
             failure[lane[stalled]] = StepFailure
             ended |= stalled
             if ended.any():

@@ -34,8 +34,10 @@ take each radius to its own segment's leg.
 
 The jet legs run in s = ln r, where the axis, a regular singular point,
 does not force the steps to shrink like r: their rhs is r dy/dr, the
-system's body evaluated with 1 for r.  `jet_trajectories` reports radii;
-a quantization value's outward leg ends once g1 has settled (`settle_event`).
+system's body evaluated with 1 for r.  `jet_trajectories` runs the legs
+of a quantization value and of an eigenfunction alike, and reports radii;
+its outward leg ends once g1 has settled (`settle_event`), at the outer
+cut at the latest.
 """
 
 from __future__ import annotations
@@ -414,29 +416,32 @@ def jet_trajectories(
     tol: Tolerances = Tolerances(rel=1e-8, abs=1e-10),
 ) -> tuple[Trajectory, Trajectory]:
     """Integrate from the jet radius 1 toward the axis and toward infinity,
-    in s = ln r, each leg to its cut; the legs report radii.
+    in s = ln r; the legs report radii.
 
-    Each leg lies in one segment: an interface between the jet radius and
-    a cut raises ValueError.  Where r = 1 is an interface, the inward leg
-    starts one part in 10^9 inside it.  A leg that stalls before its cut
-    raises StepFailure.
+    The inward leg runs to the inner cut.  The outward leg ends where g1
+    or Phi1 has stopped moving (`settle_event`), at the outer cut at the
+    latest.  Each leg lies in one segment: an interface between the jet
+    radius and a cut raises ValueError.  Where r = 1 is an interface, the
+    inward leg starts one part in 10^9 inside it.  A leg that stalls before
+    its end raises StepFailure.
     """
     launch, legs = _legs(eq, m, k, approach, launch, cuts)
-    inward, outward = (
-        _in_radii(integrate(sys, math.log(x0), math.log(x1), launch, params(omega), tol), x0, x1)
-        for x0, x1, sys, params in legs)
+    inward, outward = (  # the outward leg starts at s = ln 1 = 0
+        _in_radii(integrate(sys, math.log(x0), math.log(x1), launch, params(omega), tol, event),
+                  x0, x1)
+        for (x0, x1, sys, params), event in zip(legs, (None, settle_event(0.0, launch[2]))))
     raise_if_stalled(inward, outward)
     return inward, outward
 
 
 def _in_radii(leg: Trajectory, r0: float, r1: float) -> Trajectory:
     """A leg run in s = ln r from ln r0 toward ln r1, in radii: exactly r0
-    and r1 at its ends."""
+    at its launch, and r1 at its end when it reached it."""
     xs = np.exp(leg.xs)
     if leg.stop_reason is StopReason.REACHED_END:
         xs[-1] = r1
     xs[0] = r0
-    return Trajectory(xs, leg.ys, (float(xs[-1]), leg.y_end), leg.stop_reason)
+    return Trajectory(xs, leg.ys, leg.stop_reason)
 
 
 @dataclass(frozen=True)
@@ -464,18 +469,13 @@ class JetQuantizationFunction:
         """Quantization value between infinity and the axis.
 
         g approach: g1(outer) - g1(inner cut); Phi approach:
-        sin((Phi1(outer) - Phi1(inner))/2).  Roots in omega are the
-        eigenvalues.  The outward leg of `jet_trajectories` ends here where
-        g1 or Phi1 has stopped moving (`settle_event`), at its cut at the latest.
+        sin((Phi1(outer) - Phi1(inner))/2), where "outer" is the end of the
+        outward leg of `jet_trajectories`, the legs an eigenfunction is
+        rebuilt from.  Roots in omega are the eigenvalues.
         """
-        launch, legs = _legs(self.model.equilibrium(), self.m, self.k, self.approach,
-                             self.launch, self.cuts)
-        tol = Tolerances(rel=self.rel_tol, abs=self.abs_tol)
-        inward, outward = (  # the outward leg starts at s = ln 1 = 0
-            _in_radii(integrate(sys, math.log(x0), math.log(x1), launch, params(omega), tol,
-                                event, store_path=False), x0, x1)
-            for (x0, x1, sys, params), event in zip(legs, (None, settle_event(0.0, launch[2]))))
-        raise_if_stalled(inward, outward)
+        inward, outward = jet_trajectories(
+            self.model.equilibrium(), self.m, self.k, omega, self.approach, self.launch,
+            self.cuts, Tolerances(rel=self.rel_tol, abs=self.abs_tol))
         value = outward.y_end[2] - inward.y_end[2]
         if self.approach is Approach.PHI:
             return cmath.sin(value / 2.0)
@@ -517,7 +517,9 @@ def eigenfunctions_y(
 
     The constant is solved from the axis condition (C2/C1 = -g1 at the
     axis for the g approach).  Y depends only on the continuous state, so
-    it stays continuous across interfaces where y1', y2' jump.
+    it stays continuous across interfaces where y1', y2' jump.  The
+    samples end where the outward leg ended: past the radius where g1 has
+    settled, g1 + C would be round-off times the growing e^{Y3}.
     """
     rs, ys = merge_legs(*trajectories)
     y4, y3, third = ys[:, 0], ys[:, 1], ys[:, 2]

@@ -172,7 +172,7 @@ def solve_finite_interval(
         sub = scaled_gauge(problem, lam)
     d = problem.domain
     traj = integrate(phase_system(problem, sub), d.lower, d.upper,
-                     (phi_from_ratio_bc(sub, lower),), lam, tol, store_path=False)
+                     (phi_from_ratio_bc(sub, lower),), lam, tol)
     raise_if_stalled(traj)
     return traj.y_end[0]
 

@@ -214,25 +214,25 @@ def reconstruct_F(
     return f1 + f2 * c / s
 
 
-def decay_event(approach: Approach, launch: Sequence[complex] | np.ndarray, decay: float):
+def decay_event(approach: Approach, launch: Sequence[complex] | np.ndarray):
     """Predicate that fires once the split has frozen asymptotically.
 
-    Phi approach: |F2| fell below ``decay`` times its launch value.
-    g approach: |e^{-2 Lam}| fell below ``decay`` times its launch value.
+    Phi approach: |F2| fell below DEFAULT_DECAY times its launch value.
+    g approach: |e^{-2 Lam}| fell below DEFAULT_DECAY times its launch value.
     For one launch state the predicate is `integrate`'s ``fired(x, y)``;
     for a (dim, n) block of lane launch states it is `integrate_lanes`'s
     ``fired(lane, x, y)``, which tests each live lane against its own
     launch.
     """
     if approach is Approach.PHI:
-        limit = decay * abs(launch[1])
+        limit = DEFAULT_DECAY * abs(launch[1])
 
         def frozen(y, limit):
             return abs(y[1]) < limit
 
     else:
         # |e^{-2 Lam}| = e^{-2 Re Lam}; compare exponents to avoid overflow
-        limit = launch[1].real - 0.5 * math.log(decay)
+        limit = launch[1].real - 0.5 * math.log(DEFAULT_DECAY)
 
         def frozen(y, limit):
             return y[1].real > limit
@@ -260,8 +260,6 @@ def solve_asymptotic(
     approach: Approach = Approach.PHI,
     tol: Tolerances = Tolerances(),
     launch: Sequence[complex] | None = None,
-    decay: float = DEFAULT_DECAY,
-    store_path: bool = False,
 ) -> tuple[Trajectory, Trajectory, complex]:
     """Launch from the start point toward both cuts and quantize.
 
@@ -274,7 +272,8 @@ def solve_asymptotic(
     integration direction hits the decay event early the terminal values
     are frozen and stand in for the asymptotic ones (the functions no
     longer vary significantly there).  A leg that stalls before its cut or
-    event raises StepFailure: its last state is not asymptotic.
+    event raises StepFailure: its last state is not asymptotic.  The same
+    legs, with their accepted-step paths, rebuild the eigenfunction.
     """
     _check_asymptotic(problem)
     d = problem.domain
@@ -283,10 +282,10 @@ def solve_asymptotic(
             launch = default_initial_state(problem, d.start, lam)
         else:
             launch = default_g_initial_state(problem, d.start, lam)
-    event = decay_event(approach, launch, decay) if decay else None
+    event = decay_event(approach, launch)
     sys = phi_system(problem) if approach is Approach.PHI else g_system(problem)
-    low = integrate(sys, d.start, d.lower_cut, launch, lam, tol, event, store_path)
-    high = integrate(sys, d.start, d.upper_cut, launch, lam, tol, event, store_path)
+    low = integrate(sys, d.start, d.lower_cut, launch, lam, tol, event)
+    high = integrate(sys, d.start, d.upper_cut, launch, lam, tol, event)
     raise_if_stalled(low, high)
     value = high.y_end[2] - low.y_end[2]
     if approach is Approach.PHI:
@@ -332,7 +331,7 @@ class AsymptoticWinding:
                 launch[:, j] = default_initial_state(problem, d.start, w)
             except SchwarzianSLError as exc:
                 raised[j] = type(exc)  # its NaN launch ends its legs at once
-        sys, event = phi_system(problem), decay_event(Approach.PHI, launch, DEFAULT_DECAY)
+        sys, event = phi_system(problem), decay_event(Approach.PHI, launch)
         (_, y_low, low), (_, y_high, high) = (
             integrate_lanes(sys, d.start, cut, launch, lam, self.tol, event)
             for cut in (d.lower_cut, d.upper_cut))

@@ -197,9 +197,9 @@ def integrate_checkpoints(sys, x0, y0, checkpoints, lam=0j, tol=s.Tolerances()):
     y = tuple(complex(v) for v in y0)
     for target in checkpoints:
         if target != x:
-            leg = s.integrate(sys, x, target, y, lam, tol, store_path=False)
+            leg = s.integrate(sys, x, target, y, lam, tol)
             raise_if_stalled(leg)
-            x, y = leg.terminal
+            x, y = leg.x_end, leg.y_end
         states.append(y)
     return np.asarray(states, dtype=complex)
 

@@ -340,7 +340,7 @@ def test_criterion_8_property_suite(morse_problem, cohn_model):
     launch = s.default_g_initial_state(morse_problem, 0.0, 18.75)
     gsys = s.g_system(morse_problem)
     g_states = integrate_checkpoints(gsys, 0.0, launch, checks, 18.75, tol)
-    far = s.integrate(gsys, 0.0, 15.0, launch, 18.75, tol, store_path=False)
+    far = s.integrate(gsys, 0.0, 15.0, launch, 18.75, tol)
     const = s.solve_constant_from_bc(far.y_end, complex(float("inf"), 0.0), Approach.G)
     f_schw = [s.reconstruct_F(tuple(st), const, Approach.G) for st in g_states]
     if not (1 / f_schw[0]).real * (1 / f_schw[1]).real < 0:

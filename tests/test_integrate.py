@@ -55,8 +55,8 @@ def test_bidirectional_trivial():
     low, high, value = s.solve_asymptotic(
         fixed_point_problem(-2.0, 5.0), 0j, Approach.PHI, launch=y0
     )
-    assert low.terminal == (-2.0, y0)
-    assert high.terminal == (5.0, y0)
+    assert (low.x_end, low.y_end) == (-2.0, y0)
+    assert (high.x_end, high.y_end) == (5.0, y0)
     assert value == 0
 
 
@@ -68,7 +68,7 @@ def test_bidirectional_requires_straddle():
 
 
 def test_morse_phi_legs_reach_or_fire(morse_problem):
-    low, high, _ = s.solve_asymptotic(morse_problem, 18.75, Approach.PHI, decay=0.0)
+    low, high, _ = s.solve_asymptotic(morse_problem, 18.75, Approach.PHI)
     for tr in (low, high):
         assert tr.stop_reason in (StopReason.REACHED_END, StopReason.EVENT_FIRED)
 
@@ -181,7 +181,7 @@ def test_checkpoints_stall_raises_step_failure():
 
 def test_accepted_steps_keep_the_step_floor(cohn_model):
     # at this real omega the outward leg meets a pole of Y4 near r = 9.71;
-    # accepted steps that shrink h below min_step must stop the leg there,
+    # accepted steps that shrink h below MIN_STEP must stop the leg there,
     # not pile up zero-length steps
     sys = s.y1_system(cohn_model.equilibrium(), 0, math.pi, Approach.G)
     tr = s.integrate(sys, 1.0, 10.0, (0j, 0j, 0j), 3.891592653589793 + 0j)
@@ -200,6 +200,25 @@ def test_tolerances_must_be_positive_and_finite(rel, abs_):
         s.Tolerances(rel=rel, abs=abs_)
 
 
+@pytest.mark.parametrize("stop, event, max_steps", [
+    (StopReason.REACHED_END, None, 100_000),
+    (StopReason.EVENT_FIRED, lambda x, y: x > 2.0, 100_000),
+    (StopReason.STEP_FAILURE, None, 5),
+])
+def test_leg_ends_at_its_last_sample(stop, event, max_steps):
+    # however a leg ends, it keeps its accepted-step path, and its end is
+    # the last sample: x_end a float, y_end a tuple of Python complexes
+    sys = s.OdeSystem(2, lambda x, y, lam: (1j * y[0], -y[1]))
+    tr = s.integrate(sys, 0.0, 4.0, (1 + 0j, 1 + 0j), tol=s.Tolerances(max_steps=max_steps),
+                     event=event)
+    assert tr.stop_reason is stop
+    assert len(tr.xs) == len(tr.ys) > 2
+    assert type(tr.x_end) is float and tr.x_end == tr.xs[-1]
+    assert type(tr.y_end) is tuple and all(type(v) is complex for v in tr.y_end)
+    assert np.array(tr.y_end).tobytes() == tr.ys[-1].tobytes()
+    assert (tr.x_end == 4.0) is (stop is StopReason.REACHED_END)
+
+
 def test_nan_initial_step_stops_at_once():
     # tolerances of 1e-300 overflow the scaled norms and give a NaN step
     calls = 0
@@ -213,7 +232,7 @@ def test_nan_initial_step_stops_at_once():
     tr = s.integrate(s.OdeSystem(1, rhs), 0.0, 1.0, (1 + 0j,), tol=tol)
     assert tr.stop_reason is StopReason.STEP_FAILURE
     assert calls <= 100
-    assert tr.terminal == (0.0, (1 + 0j,))
+    assert (tr.x_end, tr.y_end) == (0.0, (1 + 0j,))
 
 
 def test_rhs_calls_per_leg(monkeypatch):
@@ -314,8 +333,7 @@ def test_lanes_match_scalar_integrate_per_lane():
     assert list(failure) == [None] * len(lams)
     assert np.all(x_end == 4.0)
     for j, lam in enumerate(lams.tolist()):
-        tr = s.integrate(_lane_system(scalar_calls), 0.0, 4.0, (1 + 0j, 0j), lam, tol,
-                         store_path=False)
+        tr = s.integrate(_lane_system(scalar_calls), 0.0, 4.0, (1 + 0j, 0j), lam, tol)
         assert tr.stop_reason is StopReason.REACHED_END
         assert abs(y_end[0, j] - tr.y_end[0]) <= 1e-13
         assert abs(y_end[0, j] - cmath.exp(4j * lam.real)) < 1e-7
@@ -323,7 +341,7 @@ def test_lanes_match_scalar_integrate_per_lane():
 
 
 def test_lane_failures_stop_alone():
-    # lanes that run out of steps (lam = 40), fall below min_step at a
+    # lanes that run out of steps (lam = 40), fall below MIN_STEP at a
     # blow-up (lam = 1j), start on a NaN step (v = inf), start non-finite
     # (lam = nan) or meet a singular point (lam = 2) end as the scalar
     # integrator does; their neighbours' results do not change
@@ -340,8 +358,7 @@ def test_lane_failures_stop_alone():
     assert list(failure) == [None, s.StepFailure, None, s.StepFailure, None,
                              s.StepFailure, s.NonFiniteRhs, s.SingularSurface]
     for j in (1, 3, 5):  # the stalls stop where the scalar integrator stops
-        tr = s.integrate(sys, 0.0, 2.0, tuple(y0[:, j]), lams[j], tol,
-                         store_path=False)
+        tr = s.integrate(sys, 0.0, 2.0, tuple(y0[:, j]), lams[j], tol)
         assert tr.stop_reason is StopReason.STEP_FAILURE
         assert abs(x_end[j] - tr.x_end) <= 1e-9 * abs(tr.x_end) and x_end[j] < 2.0
         assert np.allclose(y_end[:, j], tr.y_end, rtol=1e-9, atol=0)
@@ -370,7 +387,7 @@ def test_lane_event_matches_scalar_event_per_lane():
     for j in (0, 1, 3, 4):
         lam = lams.tolist()[j]
         tr = s.integrate(_lane_system(scalar_calls), 0.0, 4.0, (1 + 0j, 0j), lam, tol,
-                         event=lambda x, y: y[0].real < floor[j], store_path=False)
+                         event=lambda x, y: y[0].real < floor[j])
         assert tr.stop_reason is (StopReason.REACHED_END if j == 3 else StopReason.EVENT_FIRED)
         assert lane_calls[lam] == scalar_calls[lam]  # it ends on the same step
         if j in (1, 3):

@@ -546,13 +546,42 @@ def test_cli_eigenfunction_morse(tmp_path):
 
 
 def test_cli_eigenfunction_stalled_leg_is_numerical_failure(tmp_path):
-    # at this real omega the outward leg stalls at a pole of Y4 near r = 9.71,
-    # so there is no eigenfunction out to the cut to write
+    # at this real omega (k = pi) the outward leg stalls at a pole of Y4 near
+    # r = 6.5134, before g1 has settled, so there is no eigenfunction to write
     out = tmp_path / "y.csv"
-    code = main(["eigenfunction", "--problem", "cohn", "--eigenvalue",
-                 "3.891592653589793", "--out", str(out)])
+    code = main(["eigenfunction", "--problem", "cohn", "--eigenvalue", "6.0",
+                 "--out", str(out)])
     assert code == 3
     assert not out.exists()
+
+
+def test_cli_eigenfunction_ends_where_the_quantization_leg_ends(tmp_path, monkeypatch, capsys):
+    # at this real omega (k = pi) a pole of Y4 lies at r = 9.71, beyond the
+    # radius where g1 settles: the eigenfunction, like the quantization
+    # value, ends there (r = 6.3035) and is written
+    import schwarzian_sl.mhd as mhd
+
+    runs, jet_trajectories = [], mhd.jet_trajectories
+
+    def recorded(*args, **kwargs):
+        runs.append(jet_trajectories(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(mhd, "jet_trajectories", recorded)
+    omega = 3.891592653589793
+    value = s.JetQuantizationFunction(s.CohnJetModel(), 0, math.pi)(omega)
+    assert math.isfinite(value.real)
+    (inward, outward), = runs
+    out = tmp_path / "y.csv"
+    assert main(["eigenfunction", "--problem", "cohn", "--eigenvalue", repr(omega),
+                 "--out", str(out)]) == 0
+    last = out.read_text().splitlines()[-1].split(",")
+    assert float(last[0]) == outward.x_end == pytest.approx(6.3035, abs=5e-5)
+    assert outward.stop_reason is s.StopReason.EVENT_FIRED
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "cohn(m=0, k=3.14159): sampled eigenfunction at 3.89159+0j "
+        f"({len(inward.xs) + len(outward.xs) - 1} points); "
+        "outward leg ended at r = 6.30349 (EventFired)")
 
 
 def test_cli_config_file_defaults_and_flag_override(tmp_path, capsys):

@@ -369,13 +369,21 @@ def test_jet_lanes_name_the_error_scalar_calls_raise(cohn_model, monkeypatch):
 
 def test_jet_trajectories_return_radii(eq):
     # the legs run in s = ln r; their abscissae come back as radii, from the
-    # launch (nudged inside the interface for the inward leg) to the cuts
-    inward, outward = s.jet_trajectories(eq, 0, K, OMEGA)
-    assert inward.xs[0] == 1.0 - 1e-9 and outward.xs[0] == 1.0
-    assert np.all(np.diff(inward.xs) < 0.0) and np.all(np.diff(outward.xs) > 0.0)
-    assert inward.xs[-1] == inward.x_end == mhd.DEFAULT_CUTS[0]
-    assert outward.xs[-1] == outward.x_end == mhd.DEFAULT_CUTS[1]
-    assert len(inward.xs) > 2
+    # launch (nudged inside the interface for the inward leg) to the inner
+    # cut, and to the outer cut exactly when the outward leg reaches it
+    # (k = 0.5), else to the radius where g1 settled, below the cut (k = pi)
+    for k, stop in [(0.5, s.StopReason.REACHED_END), (K, s.StopReason.EVENT_FIRED)]:
+        inward, outward = s.jet_trajectories(eq, 0, k, JET_ROOTS[k])
+        assert inward.xs[0] == 1.0 - 1e-9 and outward.xs[0] == 1.0
+        assert np.all(np.diff(inward.xs) < 0.0) and np.all(np.diff(outward.xs) > 0.0)
+        assert inward.stop_reason is s.StopReason.REACHED_END
+        assert inward.xs[-1] == inward.x_end == mhd.DEFAULT_CUTS[0]
+        assert outward.stop_reason is stop
+        if stop is s.StopReason.REACHED_END:
+            assert outward.xs[-1] == outward.x_end == mhd.DEFAULT_CUTS[1]
+        else:
+            assert 1.0 < outward.xs[-1] == outward.x_end < 0.9 * mhd.DEFAULT_CUTS[1]
+        assert len(inward.xs) > 2 and len(outward.xs) > 2
 
 
 def test_jet_inward_leg_attempts(cohn_model, monkeypatch):
@@ -431,6 +439,8 @@ def test_jet_outward_leg_ends_where_its_value_settles(cohn_model, monkeypatch, k
     # or Phi1 stops moving is that of legs run to the cuts; from k = 2 on
     # the leg ends on the settle event short of r = 10, below it at the cut
     qf = s.JetQuantizationFunction(cohn_model, 0, k, approach)
+    launch, to_the_cuts = mhd._legs(cohn_model.equilibrium(), 0, k, approach, None,
+                                    mhd.DEFAULT_CUTS)
     legs, integrate = [], mhd.integrate
 
     def recorded(*args, **kwargs):
@@ -444,7 +454,9 @@ def test_jet_outward_leg_ends_where_its_value_settles(cohn_model, monkeypatch, k
     for w, lane_value in zip(omegas, values.tolist()):
         legs.clear()
         value = qf(w)
-        inward, outward = s.jet_trajectories(cohn_model.equilibrium(), 0, k, w, approach)
+        inward, outward = (s.integrate(sys, math.log(x0), math.log(x1), launch, params(w))
+                           for x0, x1, sys, params in to_the_cuts)
+        assert outward.stop_reason is s.StopReason.REACHED_END
         full = outward.y_end[2] - inward.y_end[2]
         if approach is Approach.PHI:
             full = cmath.sin(full / 2.0)
@@ -574,11 +586,12 @@ def test_eigenfunction_constants_at_cuts(eigen_run):
     assert abs(left[0]) < 1e-3 * scale
     assert np.max(np.abs(np.diff(left))) < 1e-3 * scale
     # outward: the eigenfunction has stopped varying once e^{-2 Y3} is
-    # negligible; past that the samples sit at small, settled values.
-    # (Beyond r ~ 6 the factor e^{+Re Y3} amplifies the 1e-12 eigenvalue
-    # noise floor above the eigenfunction scale, so the settled window
-    # [4, 6] is where the statement is numerically meaningful.)
-    outer = samples.y1[(samples.rs > 4.0) & (samples.rs < 6.0)]
+    # negligible; past that the samples sit at small, settled values, out to
+    # the last one.  The samples end where g1 settled (r = 5.48 here):
+    # beyond it the factor e^{+Re Y3} would amplify the round-off of g1 + C
+    # above the eigenfunction scale.
+    assert 4.0 < samples.rs[-1] < 6.0
+    outer = samples.y1[samples.rs > 4.0]
     assert np.max(np.abs(outer)) < 0.01 * scale
     assert np.max(np.abs(np.diff(outer))) < 0.005 * scale
 
@@ -718,7 +731,7 @@ def test_factored_ratios_singular_where_direct_formula_is(eq, which, m, omega, r
 def _same(a, b):
     """Two trajectories agree bit for bit."""
     assert a.stop_reason is b.stop_reason
-    assert a.terminal == b.terminal
+    assert (a.x_end, a.y_end) == (b.x_end, b.y_end)
     assert a.xs.tobytes() == b.xs.tobytes() and a.ys.tobytes() == b.ys.tobytes()
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import schwarzian_sl as s
-from schwarzian_sl.schwarzian import Approach, branch_tracked_sqrt, decay_event
+from schwarzian_sl.schwarzian import Approach, branch_tracked_sqrt
 
 from conftest import assert_close, integrate_checkpoints
 
@@ -271,9 +271,7 @@ def test_gauge_equivalence_after_constant_solving(morse_problem, tight_tol):
 
     def rebuild(launch):
         psys = s.phi_system(morse_problem)
-        t_lo = s.integrate(
-            psys, 0.0, -7.0, launch, 18.75, tight_tol, store_path=False
-        )
+        t_lo = s.integrate(psys, 0.0, -7.0, launch, 18.75, tight_tol)
         c = s.solve_constant_from_bc(t_lo.y_end, INF, Approach.PHI)
         lo = integrate_checkpoints(psys, 0.0, launch, lo_chk, 18.75, tight_tol)
         hi = integrate_checkpoints(psys, 0.0, launch, hi_chk, 18.75, tight_tol)
@@ -312,9 +310,7 @@ def test_harmonic_ground_state_matches_gaussian(harmonic_problem):
         rel_width=1e-10,
     )
     e0 = scan.eigenvalues[0]
-    low, high, _ = s.solve_asymptotic(
-        harmonic_problem, e0, Approach.PHI, tol, store_path=True
-    )
+    low, high, _ = s.solve_asymptotic(harmonic_problem, e0, Approach.PHI, tol)
     c = s.solve_constant_from_bc(low.y_end, INF, Approach.PHI)
     samples = s.eigenfunction(*s.merge_legs(low, high), c, Approach.PHI)
     mask = np.abs(samples.xs) <= 3.0
@@ -326,9 +322,7 @@ def test_harmonic_ground_state_matches_gaussian(harmonic_problem):
 def test_morse_non_eigenvalue_diverges(morse_problem):
     # detuned eps with a generic constant: |f| blows up toward both cuts
     tol = s.Tolerances(rel=1e-10, abs=1e-12)
-    low, high, _ = s.solve_asymptotic(
-        morse_problem, 17.5, Approach.PHI, tol, store_path=True
-    )
+    low, high, _ = s.solve_asymptotic(morse_problem, 17.5, Approach.PHI, tol)
     c = s.solve_constant_from_bc(low.y_end, INF, Approach.PHI) + 0.5
     samples = s.eigenfunction(*s.merge_legs(low, high), c, Approach.PHI)
     f = np.abs(samples.f)
