@@ -208,6 +208,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if scan.failures:
         print(f"{len(scan.failures)} failed sample(s) at lambda = "
               f"{[lam for lam, _ in scan.failures]}", file=sys.stderr)
+    print(f"scan: {len(scan.grid)} grid samples, {len(scan.crossings)} crossings refined "
+          f"in {scan.refine_evals} evaluations", file=sys.stderr)
     # the Phi winding of the state with n nodes is n + 1, and exactly 0 below
     # the ground state (Phi is purely imaginary there); the asymptotic targets
     # count nodes, the finite-interval ones from 1, as the minimalist phase does

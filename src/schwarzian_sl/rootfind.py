@@ -2,7 +2,8 @@
 
 Real spectra: sample the winding value of the quantization condition on a
 grid, lane-batched where the winding offers it, bracket its crossings
-through integers and refine each by ITP (interpolate, truncate, project).
+through integers and refine each by ITP on an inverse interpolant through
+the samples beside it (`_itp`).
 
 Complex spectra (stability): map Psi = Arg[quantization function] on a
 rectangular grid of the eigenvalue plane -- the Spectral Web.  Roots of the
@@ -55,6 +56,7 @@ class RealScan:
     values: np.ndarray
     crossings: list[Crossing]
     failures: list[tuple[float, str]] = field(default_factory=list)
+    refine_evals: int = 0  # scalar calls of the refinements, failed ones included
 
     @property
     def eigenvalues(self) -> list[float]:
@@ -78,10 +80,12 @@ def scan_real(
     NaN or infinite value returned without one, and is skipped.
 
     Each bracketed crossing is refined by ITP (`_itp`) on scalar calls of
-    qf until the bracket is at most ``rel_width`` times its larger end in
+    qf, interpolating through the finite samples beside its bracket too,
+    until the bracket is at most ``rel_width`` times its larger end in
     magnitude; the midpoint of that bracket, or a point where the winding
     is exactly the integer, is the eigenvalue.  A failure there is
-    recorded the same way and drops that crossing.  A run of samples whose
+    recorded the same way and drops that crossing; ``refine_evals``
+    counts these scalar calls, failed ones included.  A run of samples whose
     winding is exactly the integer n is one crossing, at its first sample,
     when the winding passes through n there: the samples beside the run
     lie on opposite sides of n, or only one of them is known (the run ends
@@ -98,8 +102,11 @@ def scan_real(
     values, kinds = _eval_chunk(qf, grid + 0j)
     finite, failures = _sample_failures(grid.tolist(), values, kinds)
     values = np.where(finite, values.real, np.nan)
+    refine_evals = 0
 
     def winding(lam: float) -> float:  # records its failure, then raises it
+        nonlocal refine_evals
+        refine_evals += 1
         try:
             value = complex(qf(complex(lam)))
             if not cmath.isfinite(value):
@@ -128,51 +135,68 @@ def scan_real(
         # the integers strictly between the two samples
         for n in range(math.floor(min(v0, v1)) + 1, math.ceil(max(v0, v1))):
             a, b = float(grid[i]), float(grid[i + 1])
+            known = [(float(grid[k]), values[k] - n) for k in (i - 1, i + 2)
+                     if 0 <= k < n_samples and not math.isnan(values[k])]
             try:
-                root = _itp(lambda lam: winding(lam) - n, a, b, v0 - n, v1 - n, rel_width)
+                root = _itp(lambda lam: winding(lam) - n, a, b, v0 - n, v1 - n, rel_width,
+                            known)
             except SchwarzianSLError:
                 continue
             crossings.append(Crossing(n, root))
-    return RealScan(grid=grid, values=values, crossings=crossings, failures=failures)
+    return RealScan(grid=grid, values=values, crossings=crossings, failures=failures,
+                    refine_evals=refine_evals)
 
 
-# ITP constants (Oliveira and Takahashi, ACM TOMS 47(1), 2020, art. 5):
-# kappa1 = _ITP_K1 / (width of the first bracket), kappa2 and n0
-_ITP_K1 = 0.2
-_ITP_K2 = 2.0
+# ITP's slack n0 (Oliveira and Takahashi, ACM TOMS 47(1), 2020, art. 5)
 _ITP_N0 = 1
 
 
 def _itp(
     f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
-    rel_width: float,
+    rel_width: float, known: Sequence[tuple[float, float]],
 ) -> float:
     """A root of f in [a, b], where fa = f(a) and fb = f(b) have opposite
-    signs, by the ITP method (interpolate, truncate, project).
+    signs, by ITP (interpolate, truncate, project) on an inverse
+    interpolant; ``known`` holds more points (x, f(x)) outside [a, b].
 
-    Each step evaluates f at the regula falsi point moved toward the
-    midpoint by kappa1 (b - a)^kappa2 and kept within a radius of the
-    midpoint, so that after j steps the bracket is no wider than
-    bisection's after j - n0: no crossing takes more than n0 steps beyond
-    bisection's count, and smooth brackets converge superlinearly.  (The
+    Every evaluated point is kept.  Each step interpolates: x(f) through
+    the (up to) four points nearest the bracket, by Neville's scheme, at
+    f = 0 (Dekker and Brent's inverse interpolation; regula falsi on the
+    bracket's ends where those points are not monotone in f), with its
+    error eps estimated by the polynomial without the farthest point.  It
+    truncates: the estimate moves toward the midpoint by max(2 eps, a
+    quarter of the stop width), so the point lands just past the root, or
+    stays when eps is 0; an end within half the stop width of the estimate
+    is mirrored instead, so the bracket closes around the estimate.  It
+    projects: the point is kept within a radius of the midpoint, so that
+    after j steps the bracket is no wider than bisection's after j - n0:
+    no crossing takes more than n0 steps beyond bisection's count.  (The
     paper's radius eps 2^(n_max - j) - (b - a)/2 with eps 2^(n_1/2) set to
     half the first width, so the bound holds for a stop width that shrinks
     with the bracket.)  Stops once b - a <= rel_width max(|a|, |b|) and
     returns the midpoint, or returns a point where f is exactly 0.
     """
     width = b - a
-    k1 = _ITP_K1 / width
+    points = {**dict(known), a: fa, b: fb}  # every point known, evaluated ones included
     j = 0
-    while b - a > rel_width * max(abs(a), abs(b), 1e-30):
+    while b - a > (stop := rel_width * max(abs(a), abs(b), 1e-30)):
         mid = 0.5 * (a + b)
         # after j steps the bracket is at most bisection's after j - n0
         radius = max(0.5 * (width * 2.0 ** (_ITP_N0 - j) - (b - a)), 0.0)
-        delta = k1 * (b - a) ** _ITP_K2
-        x_f = (fb * a - fa * b) / (fb - fa)
-        sigma = 1.0 if mid > x_f else -1.0
-        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        near = sorted(points.items(), key=lambda p: (max(a - p[0], p[0] - b), abs(p[1])))[:4]
+        steps = np.diff([fx for _, fx in sorted(near)])
+        if not ((steps > 0.0).all() or (steps < 0.0).all()):
+            near = sorted([(a, fa), (b, fb)], key=lambda p: abs(p[1]))  # regula falsi
+        xs, fs = [x for x, _ in near], [fx for _, fx in near]
+        x_e = _extrapolate(fs, xs, 0.0)
+        eps = abs(x_e - _extrapolate(fs[:-1], xs[:-1], 0.0))
+        near_end = min(x_e - a, b - x_e)
+        floor = near_end if 2.0 * near_end <= stop else 0.25 * stop if eps else 0.0
+        delta = max(2.0 * eps, floor)
+        sigma = 1.0 if mid > x_e else -1.0
+        x_t = x_e + sigma * delta if a < x_e < b and delta <= abs(mid - x_e) else mid
         x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
-        fx = f(x)
+        fx = points[x] = f(x)
         if fx == 0.0:
             return x
         if (fx > 0.0) == (fa > 0.0):

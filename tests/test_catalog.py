@@ -8,7 +8,7 @@ import pytest
 import schwarzian_sl as s
 from schwarzian_sl import cli
 
-from conftest import assert_close
+from conftest import PAINE_ERRATUM, PAINE_PUBLISHED, assert_close
 
 
 def test_catalog_has_five_entries():
@@ -78,6 +78,12 @@ def test_targets_have_provenance():
     for entry in s.CATALOG.values():
         for target in entry.paper_targets:
             assert target.provenance
+
+
+def test_paine_targets_tag_the_published_erratum():
+    targets = s.CATALOG["paine"].paper_targets
+    assert [t.value for t in targets] == list(PAINE_PUBLISHED)
+    assert {t.n for t in targets if "erratum" in t.provenance} == PAINE_ERRATUM
 
 
 def _array_and_scalar_coefficients(method, window):

@@ -400,12 +400,13 @@ def test_cli_solve_reports_failed_samples(monkeypatch, tmp_path, capsys):
     argv = ["solve", "--problem", "morse", "--range", "18,20", "--samples", "16"]
     assert main(argv + ["--out", str(tmp_path / "clean.csv")]) == 0
     clean = capsys.readouterr()
-    assert clean.err == ""
+    assert clean.err == "scan: 16 grid samples, 1 crossings refined in 2 evaluations\n"
     monkeypatch.setattr(s.AsymptoticWinding, "__call__", call_stalls_above_19)
     monkeypatch.setattr(s.AsymptoticWinding, "lanes", lanes_stall_above_19)
     assert main(argv + ["--out", str(tmp_path / "failed.csv")]) == 0
     failed = capsys.readouterr()
     assert failed.err.startswith("4 failed sample(s) at lambda = [19.0625, ")
+    assert failed.err.endswith("]\nscan: 16 grid samples, 1 crossings refined in 2 evaluations\n")
     assert failed.out == clean.out.replace("clean.csv", "failed.csv")
     assert "18.75" in failed.out
     assert (tmp_path / "failed.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()

@@ -499,6 +499,7 @@ def _refinement_evals(qf, lam_range, n_samples, rel_width=1e-8):
     counted = _Counted(qf)
     scan = s.scan_real(counted, lam_range, n_samples, rel_width)
     grid_calls = 0 if hasattr(qf, "lanes") else n_samples
+    assert scan.refine_evals == counted.calls - grid_calls
     return scan, counted.calls - grid_calls
 
 
@@ -591,6 +592,67 @@ def test_scan_real_paine_refinement_economy(paine_problem):
     scan, evals = _refinement_evals(s.FiniteIntervalWinding(paine_problem, tol),
                                     (0.0, 200.0), 200)
     assert len(scan.crossings) == 14
-    assert evals <= 8 * len(scan.crossings)
+    assert evals <= 5 * len(scan.crossings)
     for got, oracle in zip(scan.eigenvalues, PAINE_ORACLE):
         assert abs(got - oracle) < 1e-6 * oracle
+
+
+def test_scan_real_morse_refinement_economy(morse_problem):
+    scan, evals = _refinement_evals(s.AsymptoticWinding(morse_problem), (0.0, 25.0), 120)
+    assert [c.n for c in scan.crossings] == [1, 2, 3, 4, 5]
+    assert evals <= 5 * len(scan.crossings)
+    for got, want in zip(scan.eigenvalues, MORSE_5):
+        assert abs(got - want) < 1e-6 * want
+
+
+def test_scan_real_harmonic_refinement_economy(harmonic_problem):
+    # the levels n + 1/2 sit near cell midpoints of this grid, where even the
+    # bracket's ends alone interpolate close to them: a tighter bound than
+    # Paine's and Morse's
+    scan, evals = _refinement_evals(s.AsymptoticWinding(harmonic_problem), (0.0, 12.0), 48)
+    assert [c.n for c in scan.crossings] == list(range(1, 13))
+    assert evals <= 4 * len(scan.crossings)
+    for n, got in enumerate(scan.eigenvalues[:6]):  # the higher levels feel the cuts at +-6
+        assert abs(got - (n + 0.5)) < 1e-7
+
+
+def test_scan_real_counts_refinement_evaluations_failed_ones_included():
+    # as in the non-finite refinement point case: n = 1 fails on its first
+    # point, 2.0, and n = 2, 3, 4 land on their roots in one evaluation each
+    qf = _Counted(lambda lam: complex("inf") if 1.9 < lam.real < 2.1 else lam.real / 2)
+    scan = s.scan_real(qf, (0, 10), 20)
+    assert [c.n for c in scan.crossings] == [2, 3, 4]
+    assert scan.refine_evals == qf.calls - 20 == 4
+
+
+def _one_crossing_within_bisection(winding, lam_range, n_samples, root, rel_width=1e-8):
+    """Refine the one crossing of winding: within rel_width of root and
+    within one evaluation more than bisection on its grid bracket."""
+    scan, evals = _refinement_evals(winding, lam_range, n_samples, rel_width)
+    assert [c.n for c in scan.crossings] == [1]
+    assert abs(scan.eigenvalues[0] - root) <= rel_width * root
+    i = np.searchsorted(scan.grid, root)
+    bisection = _bisection_evals(
+        lambda lam: winding(complex(lam)).real - 1, scan.grid[i - 1], scan.grid[i], rel_width)
+    assert evals <= bisection + 1
+    return scan
+
+
+@pytest.mark.parametrize("failed", [(2.05,), (2.35,), (2.05, 2.35)])
+def test_scan_real_refines_beside_a_failed_neighbour(failed):
+    # l^3/10 crosses 1 at 10^(1/3) = 2.1544, between the samples 2.15 and
+    # 2.25 of the grid 1.85, 1.95, ..., 2.55; the samples beside them fail
+    def winding(lam):
+        if any(abs(lam.real - x) < 1e-9 for x in failed):
+            return complex("nan")
+        return lam.real ** 3 / 10
+
+    scan = _one_crossing_within_bisection(winding, (1.8, 2.6), 8, 10 ** (1 / 3))
+    assert [x for x, _ in scan.failures] == pytest.approx(failed)
+
+
+def test_scan_real_refines_beside_a_neighbour_that_turns_back():
+    # 1.2 - (l - 2.1)^2 on the grid 1.75, 2.25, 2.75 rises, then falls
+    # through 1 at 2.1 + sqrt(0.2): the samples are not monotone
+    root = 2.1 + math.sqrt(0.2)
+    _one_crossing_within_bisection(lambda l: 1.2 - (l.real - 2.1) ** 2, (1.5, 3.0), 3, root)
