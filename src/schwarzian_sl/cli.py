@@ -332,8 +332,9 @@ def cmd_eigenfunction(args: argparse.Namespace) -> int:
     payload = {"x": xs, "state": {n: states[:, j] for j, n in enumerate(names)},
                "f": samples.f, "F": samples.F}
     _emit(args, meta, columns, payload)
-    print(f"{built.label}: sampled eigenfunction at {eigenvalue:g} "
-          f"({len(xs)} points)")
+    print(f"{built.label}: sampled eigenfunction at {eigenvalue:g} ({len(xs)} points); "
+          f"legs ended at x = {low.x_end:.6g} ({low.stop_reason.value}) and "
+          f"x = {high.x_end:.6g} ({high.stop_reason.value})")
     return EXIT_OK
 
 

@@ -15,6 +15,11 @@ coefficients skipped; ``integrate_lanes`` uses the dimension-1 attempt on
 the whole (dim, n) lane block as a single component.  A system with a
 ``stage``, its rhs as source, gets an attempt with that source inlined at
 every evaluation, whose steps are bit for bit those of calling the rhs.
+Every leg the package runs has one, the text ``_function`` compiles into
+its scalar and lane rhs.  What differs between systems (a jet segment's
+factors, an SL problem's p, q and gauge) reaches the stage through lam or
+the values bound to the scalar rhs, never the text, so one attempt per text
+serves them all.
 A step of size h has the error err = |h| s5 / sqrt(n (s5 + 0.01 s3)),
 where s5 and s3 sum (|e_i| / sc_i)^2 of the 5th- and 3rd-order estimates
 over the n components and sc_i = abs + rel max(|y_i|, |y_new_i|).  It is
@@ -45,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SchwarzianSLError
+from .core import P_FLOOR, SchwarzianSLError, ZeroCoefficient
 
 ComplexVector = tuple[complex, ...]
 RhsFunction = Callable[[float, ComplexVector, complex], Sequence[complex]]
@@ -97,9 +102,9 @@ class OdeSystem:
     rhs: RhsFunction
     # the same rhs over lanes: x (n,), y (dim, n), lam (..., n) -> f, singular (n,)
     lanes: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
-    # the same rhs as source for `_attempt`: statements that read lam (run once
-    # per attempt), a blank line, then statements that read t and the state
-    # components u0, u1, ... they name and assign the derivative tuple dy
+    # the same rhs as source for `_attempt`: statements that read lam and rhs
+    # (run once per attempt), a blank line, then statements that read t and the
+    # state components u0, u1, ... they name and assign the derivative tuple dy
     stage: str | None = None
 
 
@@ -216,6 +221,22 @@ def _lane_rms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v * v).sum(axis=0) / v.shape[0])
 
 
+# The names generated code sees besides the builtins: a stage, and the
+# functions `_function` compiles.
+_SCOPE = {"math": math, "cmath": cmath, "np": np, "P_FLOOR": P_FLOOR,
+          "SingularSurface": SingularSurface, "ZeroCoefficient": ZeroCoefficient}
+
+
+@functools.cache
+def _function(name: str, args: str, source: str, result: str) -> Callable:
+    """``def name(args)`` that runs the statements ``source`` and returns
+    ``result``, with `_SCOPE` in scope, compiled once per text."""
+    namespace = dict(_SCOPE)
+    text = f"def {name}({args}):\n{textwrap.indent(source, '    ')}\n    return {result}\n"
+    exec(compile(text, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
 @functools.cache
 def _attempt(dim: int, stage: str | None = None) -> Callable:
     """The DOP853 step attempt for states of ``dim`` components.
@@ -228,8 +249,9 @@ def _attempt(dim: int, stage: str | None = None) -> Callable:
     (dim, n) lane block with x, hd and x_new of shape (n,).  The attempt is
     straight-line code compiled from the tableau rows, zero coefficients
     skipped; its source is ``attempt.source``.  A ``stage`` is inlined at
-    every evaluation instead (rhs unused); it sees math, cmath and
-    SingularSurface and assigns none of x, y, f, hd, x_new, lam, y_*, k*.
+    every evaluation instead, rhs then read only by its head (for the values
+    bound to it); it sees `_SCOPE` and assigns none of rhs, x, y, f, hd,
+    x_new, lam, y_*, k*.
     The code's file name holds dim and the CRC-32 of the stage, so that
     profilers, which key by file, tell the staged attempts apart.
     """
@@ -261,7 +283,7 @@ def _attempt(dim: int, stage: str | None = None) -> Callable:
     lines.append(f"    return y_new, k13, {tup(combo(_E5, i) for i in comps)}, "
                  f"{tup(combo(_E3, i) for i in comps)}")
     source = "\n".join(lines) + "\n"
-    namespace: dict = {"math": math, "cmath": cmath, "SingularSurface": SingularSurface}
+    namespace = dict(_SCOPE)
     tag = f", stage {zlib.crc32(stage.encode()):08x}" if stage else ""
     exec(compile(source, f"<DOP853 attempt, dim {dim}{tag}>", "exec"), namespace)
     attempt = namespace["attempt"]

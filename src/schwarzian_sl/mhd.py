@@ -26,8 +26,9 @@ k^2 I^2/(delta r^2), rf12 = r^4/I^2 - k^2 r^2/delta, rf21 = -delta -
 I^2/r^4 + k^2 I^4/(delta r^6); there delta is constant, so the singular
 test runs once per leg.  Other segments use the full form, with the test
 (the Alfven radius at m != 0 among others) at every stage.  Each form and
-each body is written once, as source, which the lane rhs and
-``y1_*_system_rhs`` run.  A leg lies in one segment and inlines its form
+each body is written once, as source, which ``integrate._function``,
+the package's one source-to-function generator, compiles for the lane
+rhs and ``y1_*_system_rhs``.  A leg lies in one segment and inlines its form
 and body into its scalar rhs and, as a jet leg, into every stage of its
 DOP853 attempt (`OdeSystem.stage`); `y1_system` and `y_riccati_system`
 take each radius to its own segment's leg.
@@ -56,10 +57,10 @@ import numpy as np
 from .integrate import (
     DimensionMismatch,
     OdeSystem,
-    SingularSurface,
     StopReason,
     Tolerances,
     Trajectory,
+    _function,
     integrate,
     integrate_lanes,
     lane_failures,
@@ -131,16 +132,6 @@ class MhdEquilibrium:
             for s, lo, hi in zip(doc["segments"], los, los[1:] + [math.inf])
         )
         return MhdEquilibrium(segments=segments, gamma=float(doc.get("gamma", 5.0 / 3.0)))
-
-
-@functools.cache
-def _function(name: str, args: str, source: str, result: str) -> Callable:
-    """``def name(args)`` that runs the statements ``source`` and returns
-    ``result``, with this module's globals in scope, compiled once per text."""
-    namespace = dict(globals())
-    text = f"def {name}({args}):\n{textwrap.indent(source, '    ')}\n    return {result}\n"
-    exec(compile(text, f"<{name}>", "exec"), namespace)
-    return namespace[name]
 
 
 # The ratio forms of the module docstring as source: statements that read r

@@ -27,7 +27,7 @@ from .integrate import (
     lane_failures,
     raise_if_stalled,
 )
-from .schwarzian import Approach, DegenerateBoundary, solve_constant_from_bc
+from .schwarzian import Approach, DegenerateBoundary, _sl_system, solve_constant_from_bc
 
 
 class ZeroGauge(ZeroCoefficient):
@@ -75,25 +75,16 @@ def scaled_gauge(problem: SLProblem, lam: complex) -> PhiSubstitution:
 
 def riccati_system(problem: SLProblem) -> OdeSystem:
     """F' = -F^2/p - q."""
-    p_checked = problem.coefficients.p_checked
-    q = problem.coefficients.q
-
-    def rhs(x: float, y: tuple[complex, ...], lam: complex) -> tuple[complex]:
-        F = y[0]
-        return (-F * F / p_checked(x, lam) - q(x, lam),)
-
-    return OdeSystem(dimension=1, rhs=rhs)
+    return _sl_system(problem, 1, "dy = (-u0 * u0 / pv - q(t, lam),)")
 
 
-def _phase_rhs(p, q, f1, f2, phi, sin=cmath.sin, cos=cmath.cos):
-    """Phi' from p, q and the gauge constants F1, F2 at one point; lanes
-    pass arrays with np.sin and np.cos."""
-    pf2 = p * f2
-    base = p * q + f1 * f1
-    a = 2.0 * f1 * f2 / pf2
-    b = (base - f2 * f2) / pf2
-    const = (base + f2 * f2) / pf2
-    return a * sin(phi) - b * cos(phi) + const
+_PHASE = """\
+pf2 = pv * f2
+base = pv * q(t, lam) + f1 * f1
+a = 2.0 * f1 * f2 / pf2
+b = (base - f2 * f2) / pf2
+const = (base + f2 * f2) / pf2
+dy = (a * sin(u0) - b * cos(u0) + const,)"""
 
 
 def phase_system(problem: SLProblem, sub: PhiSubstitution = DEFAULT_GAUGE) -> OdeSystem:
@@ -107,23 +98,9 @@ def phase_system(problem: SLProblem, sub: PhiSubstitution = DEFAULT_GAUGE) -> Od
 
     The lane form runs every lane in a gauge of its own, F1 = 0 and
     F2 = kappa (the scaled gauge), in place of ``sub``: its parameter
-    stacks lam (n,) over kappa (n,).  Lanes where p vanishes are marked
-    singular.  p and q then take arrays of x and lam.
+    stacks lam (n,) over kappa (n,).
     """
-    c = problem.coefficients
-    p_fn, p_checked, q_fn = c.p, c.p_checked, c.q
-    f1, f2 = sub.F1, sub.F2
-
-    def rhs(x: float, y: tuple[complex, ...], lam: complex) -> tuple[complex]:
-        return (_phase_rhs(p_checked(x, lam), q_fn(x, lam), f1, f2, y[0]),)
-
-    def lanes(x: np.ndarray, y: np.ndarray, params: np.ndarray):
-        lam, kappa = params
-        p = p_fn(x, lam)
-        phi = _phase_rhs(p, q_fn(x, lam), 0.0, kappa, y[0], np.sin, np.cos)
-        return phi[None, :], np.broadcast_to(np.abs(p) < P_FLOOR, x.shape)
-
-    return OdeSystem(dimension=1, rhs=rhs, lanes=lanes)
+    return _sl_system(problem, 1, _PHASE, "lam, f2 = lam\nf1 = 0.0\n", f1=sub.F1, f2=sub.F2)
 
 
 def phi_from_ratio_bc(sub: PhiSubstitution, f_bc: complex) -> complex:

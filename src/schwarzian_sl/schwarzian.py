@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import types
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -27,7 +28,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    P_FLOOR,
     BoundaryKind,
     SchwarzianSLError,
     SLProblem,
@@ -40,6 +40,7 @@ from .integrate import (
     SingularSurface,
     Tolerances,
     Trajectory,
+    _function,
     integrate,
     integrate_lanes,
     lane_failures,
@@ -93,42 +94,48 @@ class SampledFunction:
     F: np.ndarray
 
 
+def _sl_system(problem: SLProblem, dimension: int, source: str, lane_head: str = "",
+               **consts: complex) -> OdeSystem:
+    """The system whose rhs is ``source``: statements that read t, lam, the
+    state components u0, u1, ... they name, pv = p(t, lam), q, exp, sin, cos
+    and ``consts`` by name and assign the derivative tuple dy.  The problem's
+    p and q and the constants are bound per system, not compiled into the
+    text, so each text compiles once for every problem, constant and lam.
+
+    The scalar rhs raises ZeroCoefficient where |p| < P_FLOOR, with the
+    message of ``Coefficients.p_checked``.  Its stage reads the bound names
+    from the rhs, so the attempt that inlines it steps bit for bit as one
+    calling the rhs.  The lane rhs runs ``lane_head`` first, which may rebind
+    lam and the constants from the lane parameter, passes arrays to p and q
+    and marks the lanes where p vanishes as singular.
+    """
+    c = problem.coefficients
+    names = ", ".join(("p", "q", "exp", "sin", "cos", *consts))
+    args = f"t, u, lam, {names}"
+    unpack = "".join(f"u{i}, " for i in range(dimension) if f"u{i}" in source) + "*_ = u\n"
+    test = "pv = p(t, lam)\nsingular = abs(pv) < P_FLOOR\n"
+    text = test + 'if singular:\n    raise ZeroCoefficient(f"p({t}, {lam}) = {pv}")\n' + source
+    scalar = _function("rhs", args, unpack + text, "dy")
+    lanes = _function("lanes", args, unpack + lane_head + test + source,
+                      "np.array(dy), np.broadcast_to(singular, t.shape)")
+
+    def bound(fn, *elementary):
+        defaults = (c.p, c.q, *elementary, *consts.values())
+        return types.FunctionType(fn.__code__, fn.__globals__, fn.__name__, defaults)
+
+    return OdeSystem(dimension, bound(scalar, cmath.exp, cmath.sin, cmath.cos),
+                     bound(lanes, np.exp, np.sin, np.cos), f"{names}, = rhs.__defaults__\n\n{text}")
+
+
 def g_system(problem: SLProblem) -> OdeSystem:
     """F_p' = -F_p^2/p - q, Lam' = F_p/p, g' = e^{-2 Lam}/p."""
-    p_checked = problem.coefficients.p_checked
-    q = problem.coefficients.q
-
-    def rhs(x: float, y: tuple[complex, ...], lam: complex) -> tuple[complex, ...]:
-        p = p_checked(x, lam)
-        f_p = y[0]
-        return (-f_p * f_p / p - q(x, lam), f_p / p, cmath.exp(-2.0 * y[1]) / p)
-
-    return OdeSystem(dimension=3, rhs=rhs)
-
-
-def _phi_rhs(p, q, f1, f2) -> tuple:
-    """(F1', F2', Phi') from p, q, F1 and F2 at one point; lanes pass arrays."""
-    return (f2 * f2 - f1 * f1) / p - q, -2.0 * f1 * f2 / p, 2.0 * f2 / p
+    return _sl_system(problem, 3, "dy = (-u0 * u0 / pv - q(t, lam), u0 / pv, exp(-2.0 * u1) / pv)")
 
 
 def phi_system(problem: SLProblem) -> OdeSystem:
-    """F1' = (F2^2 - F1^2)/p - q, F2' = -2 F1 F2/p, Phi' = 2 F2/p.
-
-    The lane form marks lanes where p vanishes as singular; p and q then
-    take arrays of x and lam.
-    """
-    c = problem.coefficients
-    p_fn, p_checked, q = c.p, c.p_checked, c.q
-
-    def rhs(x: float, y: tuple[complex, ...], lam: complex) -> tuple[complex, ...]:
-        return _phi_rhs(p_checked(x, lam), q(x, lam), y[0], y[1])
-
-    def lanes(x: np.ndarray, y: np.ndarray, lam: np.ndarray):
-        p = p_fn(x, lam)
-        f = np.array(_phi_rhs(p, q(x, lam), y[0], y[1]))
-        return f, np.broadcast_to(np.abs(p) < P_FLOOR, x.shape)
-
-    return OdeSystem(dimension=3, rhs=rhs, lanes=lanes)
+    """F1' = (F2^2 - F1^2)/p - q, F2' = -2 F1 F2/p, Phi' = 2 F2/p."""
+    return _sl_system(problem, 3, "dy = ((u1 * u1 - u0 * u0) / pv - q(t, lam), "
+                                  "-2.0 * u0 * u1 / pv, 2.0 * u1 / pv)")
 
 
 def default_initial_state(problem: SLProblem, x0: float, lam: complex) -> PhiState:

@@ -188,6 +188,13 @@ def point_ratios(eq, m, k, omega, r):
     return tuple(values)
 
 
+def assert_same_leg(a, b):
+    """Two trajectories agree bit for bit."""
+    assert a.stop_reason is b.stop_reason
+    assert (a.x_end, a.y_end) == (b.x_end, b.y_end)
+    assert a.xs.tobytes() == b.xs.tobytes() and a.ys.tobytes() == b.ys.tobytes()
+
+
 def integrate_checkpoints(sys, x0, y0, checkpoints, lam=0j, tol=s.Tolerances()):
     """Chain integration legs so the state is sampled exactly at the
     requested abscissae (which must be strictly monotone away from x0).

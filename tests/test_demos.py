@@ -1,9 +1,12 @@
-"""Every package name the demos, the benchmark scripts and the README's
-library quick start use must resolve (running them is too slow for the test
-run; the sources are only read)."""
+"""Every demo runs to exit 0, and every package name the demos, the
+benchmark scripts and the README's library quick start use must resolve
+(the benchmark scripts and the quick start are only read)."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +93,12 @@ def test_demo_names_resolve(source):
         f"{module}.{name}" for module, name in used if not resolves(module, name)
     ]
     assert not missing, f"{source}: {missing}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    # each demo writes its CSVs into the working directory
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

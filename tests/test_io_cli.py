@@ -546,6 +546,25 @@ def test_cli_eigenfunction_morse(tmp_path):
     assert "Re f" in names
 
 
+@pytest.mark.parametrize("eigenvalue, points, ends", [
+    ("0.5", 53, "x = -4.9202 (EventFired) and x = 4.9202 (EventFired)"),
+    ("6.5", 91, "x = -6 (ReachedEnd) and x = 6 (ReachedEnd)"),
+])
+def test_cli_eigenfunction_names_where_each_leg_ended(tmp_path, capsys, eigenvalue, points, ends):
+    # at 0.5 both legs end on the decay event; at 6.5 both reach the +-6
+    # cuts undecayed, the truncation the line makes visible
+    out = tmp_path / "f.csv"
+    assert main(["eigenfunction", "--problem", "harmonic", "--eigenvalue", eigenvalue,
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"harmonic: sampled eigenfunction at {eigenvalue}+0j ({points} points); legs ended at "
+        + ends)
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    assert len(rows) == points
+    low, high = (float(rows[i].split(",")[0]) for i in (0, -1))
+    assert ends.startswith(f"x = {low:.6g} (") and f" and x = {high:.6g} (" in ends
+
+
 def test_cli_eigenfunction_stalled_leg_is_numerical_failure(tmp_path):
     # at this real omega (k = pi) the outward leg stalls at a pole of Y4 near
     # r = 6.5134, before g1 has settled, so there is no eigenfunction to write

@@ -17,6 +17,7 @@ from conftest import (
     P0,
     V0,
     assert_close,
+    assert_same_leg,
     axis_limits,
     equilibrium_residual,
     integrate_checkpoints,
@@ -728,13 +729,6 @@ def test_factored_ratios_singular_where_direct_formula_is(eq, which, m, omega, r
 # ------------------------------------------------------------ staged legs
 
 
-def _same(a, b):
-    """Two trajectories agree bit for bit."""
-    assert a.stop_reason is b.stop_reason
-    assert (a.x_end, a.y_end) == (b.x_end, b.y_end)
-    assert a.xs.tobytes() == b.xs.tobytes() and a.ys.tobytes() == b.ys.tobytes()
-
-
 def _both_forms(sys, x0, x1, launch, lam, tol=s.Tolerances()):
     """The leg in s = ln r with its stage inlined, then calling its rhs."""
     return [s.integrate(system, math.log(x0), math.log(x1), launch, lam, tol)
@@ -752,11 +746,11 @@ def test_staged_legs_match_their_rhs_bit_for_bit(eq, which, m, cuts, approach):
     launch, legs = mhd._legs(equilibrium, m, K, approach, None, cuts)
     for x0, x1, sys, params in legs:
         assert sys.stage is not None
-        _same(*_both_forms(sys, x0, x1, launch, params(OMEGA)))
+        assert_same_leg(*_both_forms(sys, x0, x1, launch, params(OMEGA)))
         # a leg that runs out of steps stalls at the same state
         staged, plain = _both_forms(sys, x0, x1, launch, params(OMEGA), s.Tolerances(max_steps=5))
         assert staged.stop_reason is s.StopReason.STEP_FAILURE
-        _same(staged, plain)
+        assert_same_leg(staged, plain)
 
 
 def test_staged_legs_meet_the_alfven_radius_as_their_rhs_does():
@@ -775,7 +769,7 @@ def test_staged_legs_meet_the_alfven_radius_as_their_rhs_does():
     sys, params = mhd._leg_system(MIXED, 1, K, 3.0, 2.0, 3, s.y1_g_system_rhs, ln_r=True)
     staged, plain = _both_forms(sys, 3.0, 2.0, mhd.DEFAULT_G_LAUNCH, params(0.5 + 0j))
     assert staged.stop_reason is s.StopReason.STEP_FAILURE and staged.x_end > math.log(2.0)
-    _same(staged, plain)
+    assert_same_leg(staged, plain)
 
 
 def test_staged_attempts_differ_in_file_name(eq):

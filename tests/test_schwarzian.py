@@ -1,13 +1,15 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 import schwarzian_sl as s
-from schwarzian_sl.schwarzian import Approach, branch_tracked_sqrt
+from schwarzian_sl.minimalist import scaled_gauge
+from schwarzian_sl.schwarzian import Approach, branch_tracked_sqrt, decay_event
 
-from conftest import assert_close, integrate_checkpoints
+from conftest import assert_close, assert_same_leg, integrate_checkpoints
 
 INF = complex(float("inf"), 0.0)
 
@@ -398,3 +400,112 @@ def test_schwarzian_derivative_guards():
         s.schwarzian_derivative(np.ones(5, dtype=complex), 0.1)
     with pytest.raises(s.ZeroDerivative):
         s.schwarzian_derivative(np.ones(20, dtype=complex), 0.1)
+
+
+# ------------------------------------------------------------ staged SL legs
+
+
+def _both_forms(sys, x0, x1, launch, lam, tol=s.Tolerances(), event=None):
+    """The leg with its stage inlined, then calling its rhs."""
+    assert sys.stage is not None
+    return [s.integrate(system, x0, x1, launch, lam, tol, event)
+            for system in (sys, s.OdeSystem(sys.dimension, sys.rhs))]
+
+
+def _sl_legs(name, problem):
+    """(system, x0, x1, launch, lam, event) of legs of all four SL systems:
+    the Paine phase in the scaled gauge at lam = 100 and in the default
+    gauge, and on Morse and harmonic the Phi and g legs of
+    `solve_asymptotic` and the Riccati legs from the g launch."""
+    if name == "paine":
+        for sub in (scaled_gauge(problem, 100 + 0j), s.PhiSubstitution()):
+            yield s.phase_system(problem, sub), 0.0, math.pi, (0j,), 100 + 0j, None
+        return
+    d, lam = problem.domain, (18.75 if name == "morse" else 2.5) + 0j
+    for approach, system, launch in (
+            (Approach.PHI, s.phi_system, s.default_initial_state),
+            (Approach.G, s.g_system, s.default_g_initial_state)):
+        state = launch(problem, d.start, lam)
+        for cut in (d.lower_cut, d.upper_cut):
+            yield system(problem), d.start, cut, state, lam, decay_event(approach, state)
+            if approach is Approach.G:
+                yield s.riccati_system(problem), d.start, cut, state[:1], lam, None
+
+
+@pytest.mark.parametrize("name", ["paine", "morse", "harmonic"])
+def test_staged_sl_legs_match_their_rhs_bit_for_bit(name, request):
+    problem = request.getfixturevalue(f"{name}_problem")
+    for sys, x0, x1, launch, lam, event in _sl_legs(name, problem):
+        staged, plain = _both_forms(sys, x0, x1, launch, lam, event=event)
+        assert staged.stop_reason is not s.StopReason.STEP_FAILURE
+        assert_same_leg(staged, plain)
+        # a leg that runs out of steps stalls at the same state
+        staged, plain = _both_forms(sys, x0, x1, launch, lam, s.Tolerances(max_steps=5), event)
+        assert staged.stop_reason is s.StopReason.STEP_FAILURE
+        assert_same_leg(staged, plain)
+
+
+# p = 1 below x = 1 and 0 from there on (scalars or arrays), q = lam - x^2,
+# quantized at both ends with cuts at -3 and 3
+P_VANISHING = s.SLProblem(
+    coefficients=s.Coefficients(p=lambda x, lam: (x < 1.0) * 1.0 + 0j,
+                                q=lambda x, lam: lam - x * x),
+    domain=s.Domain(-math.inf, math.inf, 0.0, -3.0, 3.0),
+    boundaries=(s.BoundarySpec.quantization(), s.BoundarySpec.quantization()),
+)
+
+
+@pytest.mark.parametrize("system", ["phase", "phi", "g", "riccati"])
+def test_staged_sl_leg_meets_a_vanishing_p_as_its_rhs_does(system):
+    # both forms raise ZeroCoefficient at the first evaluation past x = 1,
+    # with the message Coefficients.p_checked gives there
+    sys = getattr(s, f"{system}_system")(P_VANISHING)
+    assert sys.stage is not None
+    launch, messages = (0.5 + 0.5j, 1 + 0j, 0j)[:sys.dimension], []
+    for form in (sys, s.OdeSystem(sys.dimension, sys.rhs)):
+        with pytest.raises(s.ZeroCoefficient) as info:
+            s.integrate(form, 0.0, 2.0, launch, 2.0 + 0j)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    x = float(messages[0].split("(", 1)[1].split(",", 1)[0])
+    assert 1.0 <= x < 2.0
+    with pytest.raises(s.ZeroCoefficient) as info:
+        P_VANISHING.coefficients.p_checked(x, 2.0 + 0j)
+    assert str(info.value) == messages[0]
+
+
+def test_lane_where_p_vanishes_mid_leg_is_a_zero_coefficient():
+    # the upper legs meet p = 0 at x = 1; on the finite interval [0, pi] p
+    # vanishes only at its upper end, past every gauge midpoint
+    lams = np.array([1.0, 2.5, 4.0], dtype=complex)
+    asymptotic = s.AsymptoticWinding(P_VANISHING)
+    finite = s.FiniteIntervalWinding(s.SLProblem(
+        coefficients=s.Coefficients(p=lambda x, lam: (x != math.pi) * 1.0 + 0j,
+                                    q=lambda x, lam: lam + 0.0 * x),
+        domain=s.Domain(0.0, math.pi, start=1.0, lower_cut=0.0, upper_cut=math.pi),
+        boundaries=(s.BoundarySpec.ratio(float("inf")), s.BoundarySpec.ratio(float("inf")))))
+    for winding in (asymptotic, finite):
+        values, kinds = winding.lanes(lams)
+        assert kinds == ["ZeroCoefficient"] * lams.size
+        assert np.isnan(values).all()
+        for lam in lams.tolist():
+            with pytest.raises(s.ZeroCoefficient):
+                winding(lam)
+
+
+def test_sl_systems_compile_one_attempt_each(paine_problem, morse_problem, harmonic_problem):
+    # p, q, the gauge and lam reach a staged attempt as values, not as text:
+    # the phase system for 50 lam and gauges, and the Phi system for two
+    # problems, compile one attempt each
+    engine = importlib.import_module("schwarzian_sl.integrate")
+    engine._attempt.cache_clear()
+    for lam in np.linspace(1.0, 200.0, 50).tolist():
+        sys = s.phase_system(paine_problem, scaled_gauge(paine_problem, lam))
+        assert sys.stage is not None
+        s.integrate(sys, 0.0, 0.5, (0j,), lam)
+    assert engine._attempt.cache_info().currsize == 1
+    for problem in (morse_problem, harmonic_problem):
+        sys = s.phi_system(problem)
+        assert sys.stage is not None
+        s.integrate(sys, 0.0, 0.5, s.default_initial_state(problem, 0.0, 3.0), 3.0 + 0j)
+    assert engine._attempt.cache_info().currsize == 2
