@@ -15,11 +15,13 @@ coefficients skipped; ``integrate_lanes`` uses the dimension-1 attempt on
 the whole (dim, n) lane block as a single component.  A system with a
 ``stage``, its rhs as source, gets an attempt with that source inlined at
 every evaluation, whose steps are bit for bit those of calling the rhs.
-Every leg the package runs has one, the text ``_function`` compiles into
-its scalar and lane rhs.  What differs between systems (a jet segment's
-factors, an SL problem's p, q and gauge) reaches the stage through lam or
-the values bound to the scalar rhs, never the text, so one attempt per text
-serves them all.
+Every leg the package runs is built by ``_compiled_system`` from one rhs
+text, a check that sets singular and a source that assigns dy, into its
+scalar rhs, its lane rhs and its stage.  What differs between systems (a
+jet segment's factors and constants, an SL problem's p, q and gauge)
+reaches them through lam or the names bound to each rhs (cmath's and
+math's functions to the scalar one, numpy's to the lanes), never the text,
+so one attempt per text serves them all.
 A step of size h has the error err = |h| s5 / sqrt(n (s5 + 0.01 s3)),
 where s5 and s3 sum (|e_i| / sc_i)^2 of the 5th- and 3rd-order estimates
 over the n components and sc_i = abs + rel max(|y_i|, |y_new_i|).  It is
@@ -43,6 +45,7 @@ import cmath
 import functools
 import math
 import textwrap
+import types
 import zlib
 from dataclasses import dataclass
 from enum import Enum
@@ -100,7 +103,7 @@ class Tolerances:
 class OdeSystem:
     dimension: int
     rhs: RhsFunction
-    # the same rhs over lanes: x (n,), y (dim, n), lam (..., n) -> f, singular (n,)
+    # the same rhs over lanes: x (n,), y (dim, n), lam (..., n) -> f, singular (n,) or one bool
     lanes: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
     # the same rhs as source for `_attempt`: statements that read lam and rhs
     # (run once per attempt), a blank line, then statements that read t and the
@@ -235,6 +238,38 @@ def _function(name: str, args: str, source: str, result: str) -> Callable:
     text = f"def {name}({args}):\n{textwrap.indent(source, '    ')}\n    return {result}\n"
     exec(compile(text, f"<{name}>", "exec"), namespace)
     return namespace[name]
+
+
+def _compiled_system(dimension: int, check: str, source: str, error: str, scalar: dict,
+                     lanes: dict, head: str = "", lane_head: str = "") -> OdeSystem:
+    """The system whose rhs is ``check``, which sets singular, then
+    ``source``, which assigns the derivative tuple dy.  Both read t, lam,
+    the state components u0, u1, ... that ``source`` names, and the names
+    of ``scalar``: its values in the scalar rhs and the stage, and in the
+    lane rhs those of ``lanes`` where it names them (numpy's functions for
+    cmath's).  ``head`` runs first in each (once per attempt in the stage),
+    ``lane_head`` after it in the lane rhs only.
+
+    Where singular is true the scalar rhs raises ``error``, an exception
+    expression; the lane rhs returns (np.array(dy), singular).  The names
+    are bound to each rhs, not written into its text, so each text compiles
+    once; the stage's head reads them from ``rhs.__defaults__``, so its
+    attempt steps bit for bit as one calling the rhs.
+    """
+    names = ", ".join(scalar)
+    args, stage_head = f"t, u, lam, {names}", f"{names}, = rhs.__defaults__\n{head}".strip()
+    unpack = "".join(f"u{i}, " for i in range(dimension) if f"u{i}" in source) + "*_ = u"
+    text = f"{check}\nif singular:\n    raise {error}\n{source}"
+    rhs = _function("rhs", args, "\n".join((unpack, head, text)), "dy")
+    lane_rhs = _function("lanes", args, "\n".join((unpack, head, lane_head, check, source)),
+                         "np.array(dy), singular")
+
+    def bound(fn, values):
+        return types.FunctionType(fn.__code__, fn.__globals__, fn.__name__, tuple(values))
+
+    return OdeSystem(dimension, bound(rhs, scalar.values()),
+                     bound(lane_rhs, (lanes.get(name, v) for name, v in scalar.items())),
+                     f"{stage_head}\n\n{text}")
 
 
 @functools.cache
@@ -423,7 +458,7 @@ def integrate_lanes(
     leaves the batch when it ends.  ``lam`` is (n,), or (k, n) for k
     parameters per lane, lane axis last.  ``sys.lanes`` maps x (n,),
     y (dim, n) and the live lanes' lam to f (dim, n) and a mask of lanes
-    where the rhs is singular.
+    where the rhs is singular, (n,) or one bool for all of them.
 
     ``event(lane, x, y)`` is tested as `integrate` tests its event: on the
     accepted state at each accepted step end, with no localization.  It

@@ -26,12 +26,12 @@ k^2 I^2/(delta r^2), rf12 = r^4/I^2 - k^2 r^2/delta, rf21 = -delta -
 I^2/r^4 + k^2 I^4/(delta r^6); there delta is constant, so the singular
 test runs once per leg.  Other segments use the full form, with the test
 (the Alfven radius at m != 0 among others) at every stage.  Each form and
-each body is written once, as source, which ``integrate._function``,
-the package's one source-to-function generator, compiles for the lane
-rhs and ``y1_*_system_rhs``.  A leg lies in one segment and inlines its form
-and body into its scalar rhs and, as a jet leg, into every stage of its
-DOP853 attempt (`OdeSystem.stage`); `y1_system` and `y_riccati_system`
-take each radius to its own segment's leg.
+each body is written once, as source.  A leg lies in one segment, and
+``integrate._compiled_system``, the package's one source-to-system
+builder, turns its segment's form and its body into its scalar rhs, its
+lane rhs and the stage of its DOP853 attempt (`OdeSystem.stage`);
+``y1_*_system_rhs`` are the bodies alone.  `y1_system` and
+`y_riccati_system` take each radius to its own segment's leg.
 
 The jet legs run in s = ln r, where the axis, a regular singular point,
 does not force the steps to shrink like r: their rhs is r dy/dr, the
@@ -48,7 +48,6 @@ import cmath
 import functools
 import math
 import textwrap
-import types
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -60,6 +59,7 @@ from .integrate import (
     StopReason,
     Tolerances,
     Trajectory,
+    _compiled_system,
     _function,
     integrate,
     integrate_lanes,
@@ -134,18 +134,17 @@ class MhdEquilibrium:
         return MhdEquilibrium(segments=segments, gamma=float(doc.get("gamma", 5.0 / 3.0)))
 
 
-# The ratio forms of the module docstring as source: statements that read r
-# and the parameters named first (the r-independent factors, then the
-# segment's constants) and assign rf11, rf12, rf21 and singular.
+# The ratio forms of the module docstring as source: the names of a leg's
+# parameter, the r-independent factors, and statements that read r, them and
+# the segment's constants and assign rf11, rf12, rf21 and singular.
 _HYDRO = "a, b, rf21, resonant", """\
 rf11, rf12, singular = 0.0, a * r * r + b, (resonant != 0) | (r == 0.0)"""
-_LAURENT = "a11, a12, a21, b21, resonant, i_sq", """\
+_LAURENT = "a11, a12, a21, b21, resonant", """\
 r_sq = r * r
 s_sq = 1.0 / r_sq
 rf11, rf12 = -1.0 + a11 * s_sq, r_sq * (r_sq / i_sq + a12)
 rf21, singular = a21 + s_sq * s_sq * (b21 * s_sq - i_sq), resonant != 0"""
-_GENERAL = ("w_sq, rho_w, scale, k, m, bz, bc, big_i, k_bz, k_sq, m_sq, bz_sq, cold, "
-            "cs_sq, rho_cs_sq"), """\
+_GENERAL = "w_sq, rho_w, scale", """\
 s = 1.0 / r
 bphi = bc + big_i * s
 kb = k_bz + m * s * bphi  # k_co . B0
@@ -165,15 +164,13 @@ bphi_sq = bphi * bphi
 rf11 = -(bphi_sq * kappa_t_sq + 2.0 * bphi * k * (bphi * k - bz * m * s)) / delta
 rf12 = kappa_t_sq * r * r / delta
 rf21 = -(delta + bphi_sq * s * s * (bphi_sq * kappa_t_sq - 4.0 * k_bz * kb) / delta)"""
-_RATIOS = {form: _function("ratios", "r, " + form[0], form[1], "rf11, rf12, rf21, singular")
-           for form in (_HYDRO, _LAURENT, _GENERAL)}
 
 
 def _segment_form(seg: ProfileSegment, gamma: float, m: int, k: float):
     """(factors, constants, form) of one segment at mode (m, k), in the
     forms the module docstring lists: ``factors(omega)`` builds the
-    r-independent factors of a leg, which with the constants are the
-    parameters of the form's source."""
+    r-independent factors of a leg, and the constants, by name, are the
+    other values the form's source reads."""
     rho, v0, bz, bc, big_i = seg.rho0, seg.V0, seg.B0z, seg.b_phi_const, seg.b_phi_over_r
     cold, cs_sq = seg.P0 == 0.0, gamma * seg.P0 / rho
     kv, k_sq, m_sq = k * v0, k * k, m * m
@@ -188,7 +185,7 @@ def _segment_form(seg: ProfileSegment, gamma: float, m: int, k: float):
             w_sq, delta, scale = flow(omega)
             return (w_sq / cs_sq - k_sq) / delta, -m_sq / delta, -delta, abs(delta) <= 1e-30 * scale
 
-        return factors, (), _HYDRO
+        return factors, {}, _HYDRO
     if cold and not (bz or bc or m) and big_i:  # Laurent polynomials in r
         i_sq = big_i * big_i
 
@@ -197,73 +194,43 @@ def _segment_form(seg: ProfileSegment, gamma: float, m: int, k: float):
             c = k_sq / delta
             return -c * i_sq, -c, -delta, c * i_sq * i_sq, abs(delta) <= 1e-30 * scale
 
-        return factors, (i_sq,), _LAURENT
-    consts = k, m, bz, bc, big_i, k * bz, k_sq, m_sq, bz * bz, cold, cs_sq, rho * cs_sq
-    return flow, consts, _GENERAL
+        return factors, {"i_sq": i_sq}, _LAURENT
+    return flow, dict(k=k, m=m, bz=bz, bc=bc, big_i=big_i, k_bz=k * bz, k_sq=k_sq, m_sq=m_sq,
+                      bz_sq=bz * bz, cold=cold, cs_sq=cs_sq, rho_cs_sq=rho * cs_sq), _GENERAL
 
 
-def _leg_ratios(eq: MhdEquilibrium, m: int, k: float, lo: float, hi: float):
-    """(params, ratios) of `_segment_form` over the radii between lo and
-    hi, which lie in one segment: a span that crosses an interface raises
-    ValueError.  ``params(omega)`` gives the factors and constants as
-    Python scalars for one omega, or the factors as (k, n) rows for lane
-    omegas (``ratios`` has the constants as defaults); a vanishing
-    denominator makes them inf or NaN with a true singular flag, not an
-    error.  ``ratios.form`` is the segment's form."""
+def _leg_system(eq: MhdEquilibrium, m: int, k: float, lo: float, hi: float,
+                dimension: int, body, ln_r: bool = False) -> tuple[OdeSystem, Callable]:
+    """dy/dr = body(r, y, rf11, rf12, rf21) over the radii between lo and
+    hi, which lie in one segment (else ValueError), or with ``ln_r`` r dy/dr
+    = body(1, ...) over s = ln r; and ``params(omega)``, the factors of
+    `_segment_form` as Python scalars for one omega or (k, n) rows for lane
+    omegas.  The rhs (`integrate._compiled_system`) checks the segment's
+    ratio form, with its constants, exp and exp_r (r = e^s) bound, and is
+    singular where a continuous-spectrum denominator vanishes."""
     lo, hi = min(lo, hi), max(lo, hi)
     i = bisect.bisect_right(eq.interfaces, lo)
     if bisect.bisect_right(eq.interfaces, hi) != i:
         raise ValueError(f"a leg lies in one segment; ({lo}, {hi}) crosses r={eq.interfaces[i]}")
-    factors, consts, form = _segment_form(eq.segments[i], eq.gamma, m, k)
-    ratios = types.FunctionType(_RATIOS[form].__code__, _RATIOS[form].__globals__, "ratios",
-                                consts)
-    ratios.form = form
+    factors, consts, (names, ratios) = _segment_form(eq.segments[i], eq.gamma, m, k)
+    check = (f"r = {'exp_r(t)' if ln_r else 't'}\ntry:\n{textwrap.indent(ratios, '    ')}\n"
+             "except ZeroDivisionError:\n    singular = True")
+    us = ", ".join(f"u{j}" for j in range(body.state.count(",") + 1))
+    source = f"r, {body.state} = {'1.0' if ln_r else 'r'}, {us}\n{body.source}"
+    sys = _compiled_system(
+        dimension, check, source,
+        'SingularSurface(f"a continuous-spectrum denominator vanishes at r={r}")',
+        {**consts, "exp": cmath.exp, "exp_r": math.exp}, {"exp": np.exp, "exp_r": np.exp},
+        head=f"{names}, = lam")
 
     def params(omega):
         with np.errstate(all="ignore"):
             part = factors(np.asarray(omega, dtype=complex))
         if np.ndim(omega):
             return np.array(part, dtype=complex)
-        return tuple(np.asarray(v).item() for v in part) + consts
+        return tuple(np.asarray(v).item() for v in part)
 
-    return params, ratios
-
-
-_LEG = """\
-{head}
-r = {r}
-try:
-{ratios}
-except ZeroDivisionError:
-    singular = True
-if singular:
-    raise SingularSurface(f"a continuous-spectrum denominator vanishes at r={{r}}")
-{tail}"""
-
-
-def _leg_system(eq: MhdEquilibrium, m: int, k: float, lo: float, hi: float,
-                dimension: int, body, lane_body=None, ln_r: bool = False
-                ) -> tuple[OdeSystem, Callable]:
-    """dy/dr = body(r, y, rf11, rf12, rf21) over the radii between lo and
-    hi, in one segment, or with ``ln_r`` r dy/dr = body(1, ...) over s =
-    ln r, whose parameter is ``params(omega)`` of `_leg_ratios`, and params.
-    The scalar rhs raises SingularSurface on resonance; the lane form, from
-    ``lane_body``, marks those lanes.  The rhs is `_LEG`, staged with the
-    segment's ratio form and the body's source inlined."""
-    params, ratios = _leg_ratios(eq, m, k, lo, hi)
-    us = ", ".join(f"u{i}" for i in range(body.state.count(",") + 1))
-    text = _LEG.format(
-        head=f"{ratios.form[0]} = lam\nexp = cmath.exp\n", r="math.exp(t)" if ln_r else "t",
-        ratios=textwrap.indent(ratios.form[1], "    "),
-        tail=f"r, {body.state} = {'1.0' if ln_r else 'r'}, {us}\n{body.source}")
-    rhs = _function("rhs", "t, u, lam", f"{us}, *_ = u\n" + text, "dy")
-
-    def lanes(x, y, rows):
-        r = np.exp(x) if ln_r else x
-        rf11, rf12, rf21, singular = ratios(r, *rows)
-        return np.array(lane_body(1.0 if ln_r else r, y, rf11, rf12, rf21)), singular
-
-    return OdeSystem(dimension, rhs, lanes if lane_body else None, text), params
+    return sys, params
 
 
 def _omega_system(eq: MhdEquilibrium, m: int, k: float, dimension: int, body) -> OdeSystem:
@@ -280,17 +247,18 @@ def _omega_system(eq: MhdEquilibrium, m: int, k: float, dimension: int, body) ->
     return OdeSystem(dimension, rhs)
 
 
-def _body(name: str, state: str, args: str, source: str, doc: str) -> Callable:
+def _body(name: str, state: str, source: str, doc: str) -> Callable:
     """A body from its ``source``: statements that read r, the leading
     components by their ``state`` names (y4, y3 for Y4, Y3 of y1), the
-    ratios and exp and assign dy."""
-    body = _function(name, "r, state, rf11, rf12, rf21" + args,
-                     f"{state}, *_ = state\n" + source, "dy")
+    ratios and exp and assign dy.  Legs inline the source; the function
+    compiled from it, with cmath's exp, is the body on its own."""
+    body = _function(name, "r, state, rf11, rf12, rf21",
+                     f"{state}, *_ = state\nexp = cmath.exp\n" + source, "dy")
     body.state, body.source, body.__doc__ = state, source, doc
     return body
 
 
-_riccati_body = _body("y_riccati_rhs", "big_y", "", """\
+_riccati_body = _body("y_riccati_rhs", "big_y", """\
 dy = ((rf21 * big_y * big_y - 2.0 * rf11 * big_y - rf12) / r,)""",
                       "Right side of the Riccati equation for Y = y1/y2.")
 
@@ -299,18 +267,18 @@ def y_riccati_system(eq: MhdEquilibrium, m: int, k: float) -> OdeSystem:
     return _omega_system(eq, m, k, 1, _riccati_body)
 
 
-y1_phi_system_rhs = _body("y1_phi_system_rhs", "y4, y3", "", """\
+y1_phi_system_rhs = _body("y1_phi_system_rhs", "y4, y3", """\
 diff = -2.0 * rf11  # rf22 - rf11
 dy = ((-rf21 - diff * y4 + (y4 * y4 - y3 * y3) * rf12) / r,
       (2.0 * y3 * y4 * rf12 + 2.0 * rf11 * y3) / r, 2.0 * y3 * rf12 / r)""",
                           """Right side of the y1 Schwarzian Phi system; state = (Y4, Y3, Phi1).
     Reconstruction: 1/Y = Y4 - Y3 cot((Phi1 + C)/2).""")
-y1_g_system_rhs = _body("y1_g_system_rhs", "y4, y3", ", exp=cmath.exp", """\
+y1_g_system_rhs = _body("y1_g_system_rhs", "y4, y3", """\
 diff = -2.0 * rf11  # rf22 - rf11
 dy = ((-rf21 - diff * y4 + rf12 * y4 * y4) / r, (-y4 * rf12 + 0.5 * diff) / r,
       rf12 * exp(-2.0 * y3) / r)""",
                         """Right side of the y1 Schwarzian g system; state = (Y4, Y3, g1).
-    Reconstruction: 1/Y = Y4 - e^{-2 Y3} / (g1 + C2/C1); lanes pass np.exp.""")
+    Reconstruction: 1/Y = Y4 - e^{-2 Y3} / (g1 + C2/C1).""")
 
 
 def _y1_body(approach: Approach):
@@ -395,9 +363,7 @@ def _legs(eq: MhdEquilibrium, m: int, k: float, approach: Approach, launch, cuts
     if launch is None:
         launch = DEFAULT_PHI_LAUNCH if approach is Approach.PHI else DEFAULT_G_LAUNCH
     start_in = 1.0 - _INTERFACE_NUDGE if 1.0 in eq.interfaces else 1.0
-    body = _y1_body(approach)
-    lane_body = functools.partial(body, exp=np.exp) if body is y1_g_system_rhs else body
-    return launch, [(x0, x1, *_leg_system(eq, m, k, x0, x1, 3, body, lane_body, ln_r=True))
+    return launch, [(x0, x1, *_leg_system(eq, m, k, x0, x1, 3, _y1_body(approach), ln_r=True))
                     for x0, x1 in ((start_in, cuts[0]), (1.0, cuts[1]))]
 
 

@@ -417,11 +417,18 @@ def refine_complex_root(
     tol*|w|; that iterate is returned without evaluating qf there, with
     the last secant slope.  A first step on the ``slope`` passed in is
     always evaluated, as a tiny step there shows only that the slope is
-    steep, not that w is near a root.  Raises NoConvergence (carrying the
-    last iterate and residual) after ``max_iter`` further evaluations.
+    steep, not that w is near a root.  Raises NonFiniteValue at the first
+    NaN or infinite value, and NoConvergence (carrying the last iterate and
+    residual) after ``max_iter`` further evaluations.
     """
+    def value(w: complex) -> complex:
+        f = complex(qf(w))
+        if not cmath.isfinite(f):
+            raise NonFiniteValue(f"quantization value {f} at {w}")
+        return f
+
     w = complex(seed)
-    f = complex(qf(w))
+    f = value(w)
     if f == 0.0:
         return SecantRoot(w, slope)
     for i in range(max_iter):
@@ -432,7 +439,7 @@ def refine_complex_root(
             # from i = 1 on, slope is the secant through two evaluations
             if i and abs(w_next - w) <= tol * abs(w_next):
                 return SecantRoot(w_next, slope)
-        f_next = complex(qf(w_next))
+        f_next = value(w_next)
         if f_next == f:
             break
         slope = (f_next - f) / (w_next - w)

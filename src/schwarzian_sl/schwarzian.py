@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import types
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -40,7 +39,7 @@ from .integrate import (
     SingularSurface,
     Tolerances,
     Trajectory,
-    _function,
+    _compiled_system,
     integrate,
     integrate_lanes,
     lane_failures,
@@ -98,33 +97,22 @@ def _sl_system(problem: SLProblem, dimension: int, source: str, lane_head: str =
                **consts: complex) -> OdeSystem:
     """The system whose rhs is ``source``: statements that read t, lam, the
     state components u0, u1, ... they name, pv = p(t, lam), q, exp, sin, cos
-    and ``consts`` by name and assign the derivative tuple dy.  The problem's
-    p and q and the constants are bound per system, not compiled into the
-    text, so each text compiles once for every problem, constant and lam.
+    and ``consts`` by name and assign the derivative tuple dy.  p, q and the
+    constants are bound per system (`integrate._compiled_system`), so each
+    text compiles once for every problem, constant and lam.
 
     The scalar rhs raises ZeroCoefficient where |p| < P_FLOOR, with the
-    message of ``Coefficients.p_checked``.  Its stage reads the bound names
-    from the rhs, so the attempt that inlines it steps bit for bit as one
-    calling the rhs.  The lane rhs runs ``lane_head`` first, which may rebind
-    lam and the constants from the lane parameter, passes arrays to p and q
-    and marks the lanes where p vanishes as singular.
+    message of ``Coefficients.p_checked``.  The lane rhs runs ``lane_head``
+    first, which may rebind lam and the constants from the lane parameter,
+    passes arrays to p and q and marks the lanes where p vanishes singular.
     """
     c = problem.coefficients
-    names = ", ".join(("p", "q", "exp", "sin", "cos", *consts))
-    args = f"t, u, lam, {names}"
-    unpack = "".join(f"u{i}, " for i in range(dimension) if f"u{i}" in source) + "*_ = u\n"
-    test = "pv = p(t, lam)\nsingular = abs(pv) < P_FLOOR\n"
-    text = test + 'if singular:\n    raise ZeroCoefficient(f"p({t}, {lam}) = {pv}")\n' + source
-    scalar = _function("rhs", args, unpack + text, "dy")
-    lanes = _function("lanes", args, unpack + lane_head + test + source,
-                      "np.array(dy), np.broadcast_to(singular, t.shape)")
-
-    def bound(fn, *elementary):
-        defaults = (c.p, c.q, *elementary, *consts.values())
-        return types.FunctionType(fn.__code__, fn.__globals__, fn.__name__, defaults)
-
-    return OdeSystem(dimension, bound(scalar, cmath.exp, cmath.sin, cmath.cos),
-                     bound(lanes, np.exp, np.sin, np.cos), f"{names}, = rhs.__defaults__\n\n{text}")
+    return _compiled_system(
+        dimension, "pv = p(t, lam)\nsingular = abs(pv) < P_FLOOR", source,
+        'ZeroCoefficient(f"p({t}, {lam}) = {pv}")',
+        {"p": c.p, "q": c.q, "exp": cmath.exp, "sin": cmath.sin, "cos": cmath.cos, **consts},
+        {"exp": np.exp, "sin": np.sin, "cos": np.cos},
+        lane_head=lane_head)
 
 
 def g_system(problem: SLProblem) -> OdeSystem:

@@ -5,7 +5,7 @@ import pytest
 
 import schwarzian_sl as s
 from schwarzian_sl.integrate import raise_if_stalled
-from schwarzian_sl.mhd import _leg_ratios
+from schwarzian_sl import mhd
 
 # Reference eigenvalues of the finite-interval test problem: the converged
 # spectrum of a scaled-Pruefer shooting run with scipy DOP853 at
@@ -175,17 +175,22 @@ def segment_ratios(seg, gamma, m, k, omega, r):
     return rf11, rf12, rf21, singular
 
 
+# A y1 body whose dy is the ratios themselves, so a leg built from it gives
+# them as the package's own legs compute them, singular rule included; the
+# + y4 (0 here) broadcasts the hydrodynamic rf11 = 0.0 over lanes.
+RATIOS_BODY = mhd._body("ratios", "y4", "dy = (rf11 + y4, rf12 + y4, rf21 + y4)", "The ratios.")
+
+
+def ratio_leg(eq, m, k, lo, hi):
+    """(leg, params) of `mhd._leg_system` with `RATIOS_BODY`, over radii."""
+    return mhd._leg_system(eq, m, k, lo, hi, 3, RATIOS_BODY)
+
+
 def point_ratios(eq, m, k, omega, r):
-    """(rf11, rf12, rf21) of the package's per-leg form at one radius r;
-    raises SingularSurface on resonance."""
-    params, ratios = _leg_ratios(eq, m, k, r, r)
-    try:  # the singular rule of a leg's rhs, `mhd._LEG`
-        *values, singular = ratios(r, *params(omega))
-    except ZeroDivisionError:
-        singular = True
-    if singular:
-        raise s.SingularSurface(f"a continuous-spectrum denominator vanishes at r={r}")
-    return tuple(values)
+    """(rf11, rf12, rf21) of the package's leg at one radius r; raises
+    SingularSurface on resonance."""
+    leg, params = ratio_leg(eq, m, k, r, r)
+    return tuple(leg.rhs(r, (0j,), params(omega)))
 
 
 def assert_same_leg(a, b):

@@ -22,6 +22,7 @@ from conftest import (
     equilibrium_residual,
     integrate_checkpoints,
     point_ratios,
+    ratio_leg,
     rho0,
     segment_at,
     segment_ratios,
@@ -606,16 +607,16 @@ def test_eigenfunction_scaling_leaves_Y(eigen_run):
 
 
 def _segment_lanes(eq, m, k, r, omega):
-    """(rf11, rf12, rf21, singular) of `mhd._leg_ratios` for the lanes
-    (r, omega), the lanes of each segment through one leg inside it."""
-    out = np.empty((4, r.size), dtype=complex)
+    """(rf11, rf12, rf21, singular) of the lanes (r, omega) through the lane
+    rhs of `ratio_leg`, the lanes of each segment through one leg inside it."""
+    out, singular = np.empty((3, r.size), dtype=complex), np.empty(r.size, dtype=bool)
     segment = np.searchsorted(eq.interfaces, r, side="right")
     for i in np.unique(segment):
         sel = segment == i
-        params, leg_ratios = mhd._leg_ratios(eq, m, k, r[sel].min(), r[sel].max())
-        for row, value in zip(out, leg_ratios(r[sel], *params(omega[sel]))):
-            row[sel] = value
-    return out[0], out[1], out[2], out[3].real != 0.0
+        leg, params = ratio_leg(eq, m, k, r[sel].min(), r[sel].max())
+        out[:, sel], singular[sel] = leg.lanes(r[sel], np.zeros((1, sel.sum()), dtype=complex),
+                                               params(omega[sel]))
+    return out[0], out[1], out[2], singular
 
 
 def test_lane_ratios_match_scalar_across_segments(eq):
@@ -655,9 +656,8 @@ def _bits(values):
 def test_lane_leg_across_an_interface_is_refused(eq):
     # a leg lies in one segment, scalar or lanes alike: one that crosses an
     # interface is refused when it is built
-    for lane_body in (None, s.y1_phi_system_rhs):
-        with pytest.raises(ValueError, match="one segment"):
-            mhd._leg_system(eq, 0, K, 0.05, 6.0, 3, s.y1_phi_system_rhs, lane_body)
+    with pytest.raises(ValueError, match="one segment"):
+        mhd._leg_system(eq, 0, K, 0.05, 6.0, 3, s.y1_phi_system_rhs)
     with pytest.raises(ValueError, match="one segment"):  # scalar and lane legs
         mhd._legs(MIXED, 1, K, Approach.G, None, (0.01, 3.0))
     with pytest.raises(ValueError, match="one segment"):
@@ -718,9 +718,8 @@ def test_factored_ratios_singular_where_direct_formula_is(eq, which, m, omega, r
     equilibrium = eq if which == "cohn" else MIXED
     assert _direct(equilibrium, m, K, omega, r) is None
     assert _factored(equilibrium, m, K, omega, r) is None
-    params, leg_ratios = mhd._leg_ratios(equilibrium, m, K, r, r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        *_, singular = leg_ratios(np.array([r]), *params(np.array([omega])))
+        *_, singular = _segment_lanes(equilibrium, m, K, np.array([r]), np.array([omega]))
     assert singular.tolist() == [True]
     # a nudge off the surface is regular again
     assert _factored(equilibrium, m, K, omega + 1e-3j, r + 1e-3) is not None
@@ -783,17 +782,25 @@ def test_staged_attempts_differ_in_file_name(eq):
 
 
 def test_dispersion_compiles_the_same_attempts_for_any_k_count(cohn_model):
-    # k and the model reach a staged attempt as parameters, not as text: the
-    # hydrodynamic and the Laurent stage and the lanes' attempt
+    # k and the model reach a staged attempt and a leg's rhs as parameters,
+    # not as text: the hydrodynamic and the Laurent stage and the lanes'
+    # attempt, and the rhs texts of the legs, compile once for any k count
     engine = importlib.import_module("schwarzian_sl.integrate")
     qf = s.JetQuantizationFunction(cohn_model, 0, K, rel_tol=1e-6, abs_tol=1e-9)
-    sizes = []
+    sizes, functions = [], []
     for n in (3, 9):
         engine._attempt.cache_clear()
+        engine._function.cache_clear()
         s.dispersion_scan(lambda k: dataclasses.replace(qf, k=float(k)),
                           np.linspace(2.0, 4.0, n), (0.05, 3.0, 0.05, 2.0), 12, 12)
         sizes.append(engine._attempt.cache_info().currsize)
+        functions.append(engine._function.cache_info().currsize)
     assert sizes == [3, 3]
+    assert functions[0] == functions[1] > 0
+    # and every jet leg's lane rhs is compiled from the text of its scalar rhs
+    for approach in Approach:
+        _, legs = mhd._legs(cohn_model.equilibrium(), 0, K, approach, None, mhd.DEFAULT_CUTS)
+        assert all(sys.lanes.__code__.co_filename == "<lanes>" for _, _, sys, _ in legs)
 
 
 def test_seed_401_dispersion_work(monkeypatch, capsys):

@@ -207,6 +207,22 @@ def test_refine_complex_root_no_convergence():
     assert excinfo.value.residual > 0
 
 
+def test_refine_complex_root_stops_at_a_non_finite_value():
+    # the first NaN or infinite value ends the secant there, as a scan or a
+    # web records it, instead of iterating on NaN up to NoConvergence
+    calls = []
+
+    def qf(w):
+        calls.append(w)
+        return (w - 5) * (w - 1) if len(calls) < 3 else complex("nan")
+
+    with pytest.raises(s.rootfind.NonFiniteValue, match="nan"):
+        s.refine_complex_root(qf, 4.8 + 0j)
+    assert len(calls) == 3
+    with pytest.raises(s.rootfind.NonFiniteValue, match="inf"):
+        s.refine_complex_root(lambda w: complex(math.inf, 0.0), 1 + 1j)
+
+
 def test_refine_complex_root_carried_slope_step_is_evaluated():
     # a huge carried slope makes the first Newton step tiny far from any
     # root; that step is evaluated, and the constant residual then stalls
